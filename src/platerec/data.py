@@ -112,17 +112,33 @@ def load_manifest(path) -> list[ReviewRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed manifest line: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
             try:
                 rec = ReviewRecord(
                     review_id=obj["review_id"],
                     user_id=obj["user_id"],
                     restaurant_id=obj["restaurant_id"],
-                    stars=int(obj["stars"]),
-                    image_paths=list(obj["images"]),
+                    stars=obj["stars"],
+                    image_paths=obj["images"],
                     timestamp=obj.get("timestamp"),
                 )
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            for name in ("review_id", "user_id", "restaurant_id"):
+                if not isinstance(getattr(rec, name), str):
+                    raise ValueError(f"{path}:{lineno}: {name} must be a string")
+            # JSON has one number type: 4 and 4.0 are both four stars, 4.5 is not
+            if isinstance(rec.stars, float) and rec.stars.is_integer():
+                rec.stars = int(rec.stars)
+            if type(rec.stars) is not int:
+                raise ValueError(f"{path}:{lineno}: stars must be an integer, got {rec.stars!r}")
+            if not isinstance(rec.image_paths, list) or not all(
+                isinstance(p, str) for p in rec.image_paths
+            ):
+                raise ValueError(f"{path}:{lineno}: images must be a list of path strings")
             if not 1 <= rec.stars <= 5:
                 raise ValueError(f"{path}:{lineno}: stars must be in [1, 5], got {rec.stars}")
             if not rec.image_paths:

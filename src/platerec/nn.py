@@ -8,6 +8,16 @@ He-uniform initialization, BCE/MSE losses and Adam.
 
 Everything is a plain numpy array in float32; a float64 mode exists only
 for finite-difference gradient checking.
+
+The convolution never builds an im2col matrix. Its input is zero-padded
+once into a padded-flat buffer of shape (N, C, (H+2)*(W+2) + 2), in which
+tap (di, dj) of every 3x3 window is the contiguous slice at offset
+di*(W+2) + dj, and the output lives on an H x (W+2) grid whose two slack
+columns are cropped at the end ("kn2row", Vasudevan, Anderson & Gregg,
+arXiv:1704.04428). The channel counts alone pick how the nine taps meet
+the kernel: when 9 * C_in <= C_out the slices are stacked into one GEMM,
+otherwise nine per-tap GEMMs accumulate. Max pooling takes the maximum of
+the four strided views of its input.
 """
 
 from __future__ import annotations
@@ -15,7 +25,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
 
@@ -116,8 +125,64 @@ class Layer:
         raise NotImplementedError
 
 
+def _pad_flat(x):
+    """Zero-pad NCHW to (N, C, (H+2)*(W+2) + 2), the padded image rows laid end to end.
+
+    Tap (di, dj) of a 3x3 window is then the contiguous slice starting at
+    di*(W+2) + dj; the two trailing zeros keep the last tap's slice in bounds.
+    """
+    n, c, h, w = x.shape
+    size = (h + 2) * (w + 2)
+    buf = np.zeros((n, c, size + 2), dtype=x.dtype)
+    grid = np.reshape(buf[:, :, :size], (n, c, h + 2, w + 2), copy=False)
+    grid[:, :, 1:h + 1, 1:w + 1] = x
+    return buf
+
+
+def _tap_slices(buf, h, w):
+    """The nine (N, C, H*(W+2)) tap views of a padded-flat buffer, row-major tap order."""
+    m = h * (w + 2)
+    return [buf[:, :, di * (w + 2) + dj:di * (w + 2) + dj + m]
+            for di in range(3) for dj in range(3)]
+
+
+def _conv_padded(buf, weight, h, w):
+    """Same-padding 3x3 cross-correlation of a padded-flat buffer -> contiguous (N, O, H, W).
+
+    Output pixels live on an H x (W+2) grid whose last two columns are slack
+    and cropped. With few input channels (9*C <= O) the nine tap slices are
+    stacked into one (N, 9C, H*(W+2)) operand for a single GEMM; otherwise the
+    nine per-tap GEMMs accumulate into one output without any gather copy.
+    """
+    o, c = weight.shape[:2]
+    taps = _tap_slices(buf, h, w)
+    if 9 * c <= o:
+        wmat = weight.transpose(0, 2, 3, 1).reshape(o, 9 * c)
+        out = np.matmul(wmat, np.concatenate(taps, axis=1))
+    else:
+        wtaps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, o, c)
+        out = np.matmul(wtaps[0], taps[0])
+        tmp = np.empty_like(out)
+        for wt, tap in zip(wtaps[1:], taps[1:]):
+            out += np.matmul(wt, tap, out=tmp)
+    n = buf.shape[0]
+    return np.ascontiguousarray(out.reshape(n, o, h, w + 2)[:, :, :, :w])
+
+
 class Conv3x3(Layer):
-    """3x3 convolution (cross-correlation), stride 1, zero 'same' padding, no bias."""
+    """3x3 convolution (cross-correlation), stride 1, zero 'same' padding, no bias.
+
+    The input is padded once into a padded-flat buffer (see `_pad_flat`) in
+    which each of the nine taps is a contiguous slice, so forward is a sum of
+    per-tap GEMMs on strided views and no im2col matrix is built. The weight
+    gradient reuses the same slices against grad_out on the same H x (W+2)
+    grid, whose zero slack columns add nothing. The input gradient is the
+    forward routine applied to grad_out with the kernel flipped in space and
+    its input and output channels swapped. The channel counts alone decide
+    whether the nine taps are stacked into one GEMM or accumulated: forward
+    stacks them when 9 * in_channels <= out_channels, the input gradient (a
+    conv from out_channels to in_channels) when 9 * out_channels <= in_channels.
+    """
 
     def __init__(self, in_channels, out_channels, rng, dtype=DTYPE):
         self.in_channels = in_channels
@@ -133,40 +198,29 @@ class Conv3x3(Layer):
     def tensors(self):
         return {"weight": self.weight.value}
 
-    @staticmethod
-    def _im2col(x):
-        n, c, h, w = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # n,c,h,w,3,3
-        return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * h * w, c * 9)
-
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"expected input of shape (N,{self.in_channels},H,W), got {x.shape}"
             )
-        n, _, h, w = x.shape
-        cols = self._im2col(x)
-        wmat = self.weight.value.reshape(self.out_channels, -1)
-        out = cols @ wmat.T
-        out = out.reshape(n, h, w, self.out_channels).transpose(0, 3, 1, 2)
+        _, _, h, w = x.shape
+        buf = _pad_flat(x)
         if mode == TRAINING:
-            self._cache = (cols, x.shape)
-        return np.ascontiguousarray(out)
+            self._cache = (buf, h, w)
+        return _conv_padded(buf, self.weight.value, h, w)
 
     def backward(self, grad_out):
-        cols, in_shape = self._cache
-        n, c, h, w = in_shape
-        g = grad_out.transpose(0, 2, 3, 1).reshape(n * h * w, self.out_channels)
-        self.weight.grad += (g.T @ cols).reshape(self.weight.shape)
-        gcols = (g @ self.weight.value.reshape(self.out_channels, -1))
-        gcols = gcols.reshape(n, h, w, c, 3, 3).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros((n, c, h + 2, w + 2), dtype=grad_out.dtype)
-        for di in range(3):
-            for dj in range(3):
-                gxp[:, :, di:di + h, dj:dj + w] += gcols[:, :, :, :, di, dj]
-        return gxp[:, :, 1:h + 1, 1:w + 1]
+        buf, h, w = self._cache
+        gbuf = _pad_flat(grad_out)
+        # the centre tap of the padded grad_out is grad_out on the H x (W+2)
+        # grid, with zeros in the two slack columns
+        g = _tap_slices(gbuf, h, w)[4]
+        for t, tap in enumerate(_tap_slices(buf, h, w)):
+            grad_tap = np.matmul(g, tap.transpose(0, 2, 1)).sum(axis=0)
+            self.weight.grad[:, :, t // 3, t % 3] += grad_tap
+        flipped = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _conv_padded(gbuf, flipped, h, w)
 
 
 class MaxPool2x2(Layer):
@@ -177,23 +231,27 @@ class MaxPool2x2(Layer):
 
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ValueError(f"spatial dims must be even, got {h}x{w}")
-        win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        flat = win.reshape(n, c, h // 2, w // 2, 4)
-        idx = np.argmax(flat, axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        # the four window positions in row-major order: a b / c d
+        a, b, c, d = (x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
+        top = np.maximum(a, b)
+        bottom = np.maximum(c, d)
+        out = np.maximum(top, bottom)
         if mode == TRAINING:
+            # int8 routing index; strict comparisons keep the first maximum on ties
+            idx = (b > a).view(np.int8)
+            np.copyto(idx, (d > c).view(np.int8) + np.int8(2), where=bottom > top)
             self._cache = (idx, x.shape)
         return out
 
     def backward(self, grad_out):
         idx, (n, c, h, w) = self._cache
-        scatter = np.zeros((n, c, h // 2, w // 2, 4), dtype=grad_out.dtype)
-        np.put_along_axis(scatter, idx[..., None], grad_out[..., None], axis=-1)
-        scatter = scatter.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return scatter.reshape(n, c, h, w)
+        grad_in = np.empty((n, c, h // 2, 2, w // 2, 2), dtype=grad_out.dtype)
+        for k in range(4):
+            np.multiply(grad_out, idx == k, out=grad_in[:, :, :, k // 2, :, k % 2])
+        return grad_in.reshape(n, c, h, w)
 
 
 class Upsample2x(Layer):

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import platerec
 from platerec import nn
 from platerec.cae import (
     CaeConfig, build_cae, encode_image, encode_images, reconstruct_image,
@@ -114,6 +121,38 @@ class TestTraining:
         _, history = train_cae(build_cae(cfg), images, images, cfg)
         assert len(history.val_loss) < cfg.max_epochs
         assert len(history.val_loss) == history.best_epoch + cfg.patience
+
+    def test_weights_independent_of_blas_thread_count(self):
+        # a BLAS that split a GEMM's reduction across threads would sum in
+        # another order and change the trained weights in the last bits
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from platerec import nn
+            from platerec.cae import CaeConfig, build_cae, train_cae
+            from platerec.data import resize_image
+            rng = nn.make_rng(0, "thread-determinism")
+            images = [0.2 + 0.6 * resize_image(rng.random((4, 4, 3)).astype(np.float32), 32, 32)
+                      for _ in range(64)]
+            cfg = CaeConfig(max_epochs=2, patience=2, seed=0)
+            model, _ = train_cae(build_cae(cfg), images, [], cfg)
+            digest = hashlib.sha256()
+            for name, arr in sorted(model.state_dict().items()):
+                digest.update(name.encode())
+                digest.update(arr.tobytes())
+            print(digest.hexdigest())
+        """)
+        src = str(Path(platerec.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=300, check=True)
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 def test_batch_encode_matches_single():

@@ -1,5 +1,11 @@
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platerec import data
 from platerec.data import (
@@ -29,6 +35,18 @@ def test_label_from_stars(stars, label):
 def test_label_out_of_range():
     with pytest.raises(ValueError):
         label_from_stars(6)
+
+
+VALID_MANIFEST_OBJECT = {"review_id": "r1", "user_id": "u1", "restaurant_id": "x", "stars": 5,
+                         "images": ["a.ppm"]}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5,
+)
 
 
 class TestManifest:
@@ -63,6 +81,43 @@ class TestManifest:
         save_manifest([review("r1", "u1", "x", 5), review("r1", "u2", "y", 1)], p)
         with pytest.raises(ValueError, match="duplicate"):
             load_manifest(p)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"r1"'] + [
+        json.dumps({**VALID_MANIFEST_OBJECT, field: value}) for field, value in [
+            ("stars", "abc"), ("stars", 4.5), ("stars", True), ("images", 7),
+            ("images", "a.ppm"), ("images", [7]), ("review_id", ["r1"]), ("user_id", None),
+        ]
+    ])
+    def test_mistyped_line_reports_path_and_line(self, tmp_path, line):
+        p = tmp_path / "m.jsonl"
+        save_manifest([review("r0", "u0", "x", 5)], p)
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}:2:"):
+            load_manifest(p)
+
+    def test_integral_float_stars_accepted(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        p.write_text('{"review_id": "r1", "user_id": "u1", "restaurant_id": "x", '
+                     '"stars": 4.0, "images": ["a.ppm"]}\n')
+        assert load_manifest(p)[0].stars == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["review_id", "user_id", "restaurant_id", "stars", "images"]),
+           value=json_values)
+    def test_fuzzed_field_loads_or_names_the_line(self, field, value):
+        obj = {**VALID_MANIFEST_OBJECT, field: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "m.jsonl"
+            p.write_text(json.dumps(obj) + "\n")
+            try:
+                (rec,) = load_manifest(p)
+            except ValueError as exc:
+                assert f"{p}:1:" in str(exc)
+                return
+        assert all(isinstance(v, str) for v in (rec.review_id, rec.user_id, rec.restaurant_id))
+        assert type(rec.stars) is int and 1 <= rec.stars <= 5
+        assert rec.image_paths and all(isinstance(v, str) for v in rec.image_paths)
 
 
 # ---------------------------------------------------------------------------

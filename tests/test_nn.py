@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from platerec import nn
 
@@ -70,6 +71,43 @@ class TestConv3x3:
         out = conv.forward(np.zeros((2, 3, 6, 10), dtype=np.float32))
         assert out.shape == (2, 5, 6, 10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 2), st.integers(1, 10), st.integers(1, 10),
+                           st.integers(1, 5), st.integers(1, 5)),
+           seed=st.integers(0, 2 ** 16))
+    @example(shape=(2, 1, 9, 3, 4), seed=0)   # forward stacks the taps
+    @example(shape=(1, 9, 1, 4, 3), seed=1)   # input gradient stacks the taps
+    @example(shape=(1, 2, 18, 3, 2), seed=5)  # stacked, several input channels
+    @example(shape=(1, 18, 2, 2, 3), seed=6)  # stacked input gradient, several channels
+    @example(shape=(2, 3, 2, 1, 5), seed=2)   # H = 1
+    @example(shape=(1, 2, 3, 4, 1), seed=3)   # W = 1
+    @example(shape=(1, 10, 10, 1, 1), seed=4)
+    def test_matches_direct_loop_reference(self, shape, seed):
+        n, cin, cout, h, w = shape
+        rng = rng64(seed)
+        conv = nn.Conv3x3(cin, cout, rng, dtype=np.float64)
+        weight = conv.weight.value
+        x = rng.standard_normal((n, cin, h, w))
+        grad_out = rng.standard_normal((n, cout, h, w))
+
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        out_ref = np.zeros((n, cout, h, w))
+        gw_ref = np.zeros_like(weight)
+        gxp_ref = np.zeros_like(xp)
+        for b, o, i, j in np.ndindex(n, cout, h, w):
+            for c, di, dj in np.ndindex(cin, 3, 3):
+                out_ref[b, o, i, j] += weight[o, c, di, dj] * xp[b, c, i + di, j + dj]
+                gw_ref[o, c, di, dj] += grad_out[b, o, i, j] * xp[b, c, i + di, j + dj]
+                gxp_ref[b, c, i + di, j + dj] += grad_out[b, o, i, j] * weight[o, c, di, dj]
+
+        # float64 sums in another order; 1e-12 is a few thousand ulps of the terms
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv.forward(x), out_ref, **tol)
+        np.testing.assert_allclose(conv.forward(x, mode=nn.TRAINING), out_ref, **tol)
+        conv.weight.zero_grad()
+        np.testing.assert_allclose(conv.backward(grad_out), gxp_ref[:, :, 1:h + 1, 1:w + 1], **tol)
+        np.testing.assert_allclose(conv.weight.grad, gw_ref, **tol)
+
 
 class TestMaxPool:
 
@@ -98,6 +136,36 @@ class TestMaxPool:
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
             nn.MaxPool2x2().forward(np.zeros((1, 1, 3, 4), dtype=np.float32))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 2), st.integers(1, 3),
+                           st.integers(1, 4), st.integers(1, 4)),
+           seed=st.integers(0, 2 ** 16), relu=st.booleans())
+    def test_matches_per_window_reference(self, shape, seed, relu):
+        n, c, hh, wh = shape
+        rng = rng64(seed)
+        # small integers make ties common; after a ReLU most ties are zeros
+        x = rng.integers(-2, 3, (n, c, 2 * hh, 2 * wh)).astype(np.float32)
+        if relu:
+            x = np.maximum(x, 0)
+        grad_out = rng.standard_normal((n, c, hh, wh)).astype(np.float32)
+        out_ref = np.zeros((n, c, hh, wh), dtype=np.float32)
+        route_ref = np.zeros(x.shape, dtype=bool)
+        grad_ref = np.zeros(x.shape, dtype=np.float32)
+        for b, ch, i, j in np.ndindex(n, c, hh, wh):
+            window = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+            values = [x[b, ch, r, q] for r, q in window]
+            r, q = window[values.index(max(values))]  # first maximum, row-major
+            out_ref[b, ch, i, j] = x[b, ch, r, q]
+            route_ref[b, ch, r, q] = True
+            grad_ref[b, ch, r, q] = grad_out[b, ch, i, j]
+
+        pool = nn.MaxPool2x2()
+        assert np.array_equal(pool.forward(x), out_ref)
+        assert np.array_equal(pool.forward(x, mode=nn.TRAINING), out_ref)
+        routed = pool.backward(np.ones_like(grad_out))
+        assert np.array_equal(routed != 0, route_ref)
+        assert np.array_equal(pool.backward(grad_out), grad_ref)
 
 
 class TestUpsample:
@@ -336,6 +404,18 @@ class TestGradients:
     def test_conv(self, seed):
         conv = nn.Conv3x3(2, 3, rng64(seed), dtype=np.float64)
         x = rng64(seed, "x").standard_normal((1, 2, 5, 5))
+        _check(conv, x, conv.params(), 1e-4)
+
+    def test_conv_stacked_forward(self, seed):
+        # 9 * 2 <= 18: the forward pass stacks the nine taps into one GEMM
+        conv = nn.Conv3x3(2, 18, rng64(seed), dtype=np.float64)
+        x = rng64(seed, "x").standard_normal((2, 2, 4, 5))
+        _check(conv, x, conv.params(), 1e-4)
+
+    def test_conv_stacked_input_gradient(self, seed):
+        # the input gradient is a 2 -> 18 conv of grad_out, which stacks the taps
+        conv = nn.Conv3x3(18, 2, rng64(seed), dtype=np.float64)
+        x = rng64(seed, "x").standard_normal((1, 18, 3, 4))
         _check(conv, x, conv.params(), 1e-4)
 
     def test_dense(self, seed):
