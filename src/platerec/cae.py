@@ -151,7 +151,8 @@ def train_cae(model: CaeModel, train_images, val_images, config: CaeConfig):
     """Early-stopped reconstruction training; restores the best-epoch weights.
 
     Monitors validation reconstruction loss (inference mode); stops after
-    `patience` epochs without improvement and at most max_epochs.
+    `patience` epochs without improvement and at most max_epochs. A
+    non-finite train or validation loss raises ValueError naming the epoch.
     """
     x_train = _as_batch(train_images, config)
     if x_train.shape[0] == 0:
@@ -179,12 +180,13 @@ def train_cae(model: CaeModel, train_images, val_images, config: CaeConfig):
             nn.adam_step(params, config.learning_rate)
             losses.append(loss)
         train_loss = float(np.mean(losses))
+        nn.check_finite(train_loss, "train loss", epoch)
         val_loss = evaluate_loss(model, x_val, config)
+        nn.check_finite(val_loss, "validation loss", epoch)
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
         history.wall_time.append(time.perf_counter() - t0)
-        keep_going = stopper.update(-val_loss, epoch, nn.snapshot_state(model))
-        if not keep_going:
+        if not stopper.update(-val_loss, epoch, lambda: nn.snapshot_state(model)):
             break
 
     if stopper.best_snapshot is not None:

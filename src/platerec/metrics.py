@@ -132,8 +132,9 @@ class EarlyStopState:
     """Tracks the best monitored score and stops after `patience` stale epochs.
 
     Strict improvement (score > best) resets the counter and captures the
-    snapshot; ties do not. Training continues while the stale-epoch counter
-    stays below patience.
+    snapshot; ties do not. The snapshot is taken by calling `take_snapshot`,
+    only on strict improvement, so epochs that do not improve copy nothing.
+    Training continues while the stale-epoch counter stays below patience.
     """
 
     patience: int
@@ -146,13 +147,13 @@ class EarlyStopState:
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 
-    def update(self, epoch_score, epoch, snapshot):
+    def update(self, epoch_score, epoch, take_snapshot):
         """Returns True while training should continue."""
         if epoch_score > self.best_score:
             self.best_score = epoch_score
             self.best_epoch = epoch
             self.epochs_since_improvement = 0
-            self.best_snapshot = snapshot
+            self.best_snapshot = take_snapshot()
         else:
             self.epochs_since_improvement += 1
         return self.epochs_since_improvement < self.patience

@@ -23,6 +23,7 @@ the four strided views of its input.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -86,17 +87,46 @@ def zero_grads(params):
 
 
 def adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update with bias correction. Gradients are left untouched."""
+    """One Adam update with bias correction, in place. Gradients are left untouched.
+
+    Updates `adam_m`, `adam_v` and `value` with `out=` ufuncs:
+
+        m = beta1*m + (1-beta1)*g
+        v = beta2*v + (1-beta2)*(g*g)
+        value -= (lr*(m/(1-beta1**t))) / (sqrt(v/(1-beta2**t)) + eps)
+
+    Each call allocates two scratch buffers per dtype, sized to the largest
+    parameter of that dtype, and every parameter works in views of them. The
+    operations, their order and their operands are those of the textbook
+    allocating form, so the result is bit-identical to it; the bias
+    corrections are deliberately not folded into the step size, which would
+    move the last bits.
+    """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    sizes = {}
+    for p in params:
+        sizes[p.value.dtype] = max(sizes.get(p.value.dtype, 0), p.value.size)
+    scratch = {dt: (np.empty(size, dt), np.empty(size, dt)) for dt, size in sizes.items()}
     for p in params:
         p.step_count += 1
         t = p.step_count
-        p.adam_m[...] = beta1 * p.adam_m + (1.0 - beta1) * p.grad
-        p.adam_v[...] = beta2 * p.adam_v + (1.0 - beta2) * p.grad ** 2
-        m_hat = p.adam_m / (1.0 - beta1 ** t)
-        v_hat = p.adam_v / (1.0 - beta2 ** t)
-        p.value -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.value.dtype)
+        g, m, v = p.grad, p.adam_m, p.adam_v
+        a, b = (buf[:g.size].reshape(g.shape) for buf in scratch[p.value.dtype])
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        np.add(v, a, out=v)
+        np.divide(v, 1.0 - beta2 ** t, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, eps, out=a)
+        np.divide(m, 1.0 - beta1 ** t, out=b)
+        np.multiply(b, lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(p.value, b, out=p.value)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +559,12 @@ def loss_eval(prediction, target, kind):
         grad = np.where(inside, (p - target) / (p * (1.0 - p) * n), 0.0)
         return float(loss), grad.astype(prediction.dtype)
     raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def check_finite(loss, what, epoch):
+    """Stop training on a NaN or infinite epoch loss, naming the epoch."""
+    if not math.isfinite(loss):
+        raise ValueError(f"epoch {epoch}: non-finite {what} {loss}")
 
 
 # ---------------------------------------------------------------------------

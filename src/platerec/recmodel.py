@@ -223,7 +223,8 @@ def train_recommender(model: RecModel, train: TriadBatch, val: TriadBatch,
     """BCE training with per-epoch validation b_score monitoring.
 
     Early-stops after `patience` epochs without b_score improvement and
-    restores the best-scoring weights.
+    restores the best-scoring weights. A non-finite train loss raises
+    ValueError naming the epoch.
     """
     if len(train) == 0:
         raise ValueError("empty train set")
@@ -248,11 +249,13 @@ def train_recommender(model: RecModel, train: TriadBatch, val: TriadBatch,
             model.backward(grad)
             nn.adam_step(params, config.learning_rate)
             losses.append(loss)
+        train_loss = float(np.mean(losses))
+        nn.check_finite(train_loss, "train loss", epoch)
         score = _val_b_score(model, val, config.decision_threshold)
-        history.train_loss.append(float(np.mean(losses)))
+        history.train_loss.append(train_loss)
         history.val_b_score.append(score)
         history.wall_time.append(time.perf_counter() - t0)
-        if not stopper.update(score, epoch, nn.snapshot_state(model)):
+        if not stopper.update(score, epoch, lambda: nn.snapshot_state(model)):
             break
 
     if stopper.best_snapshot is not None:

@@ -315,7 +315,7 @@ def test_early_stopping_contract():
         state = EarlyStopState(patience=patience)
         stopped_at = None
         for epoch, score in enumerate(scores, start=1):
-            if not state.update(score, epoch, score):
+            if not state.update(score, epoch, lambda: score):
                 stopped_at = epoch
                 break
         assert state.best_epoch == best_epoch, scores

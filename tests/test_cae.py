@@ -85,6 +85,22 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_cae(build_cae(cfg), [], [], cfg)
 
+    def test_nan_pixel_stops_training(self):
+        cfg = CaeConfig(loss_kind="mse", max_epochs=3, patience=3, seed=4)
+        images = smooth_images(4, 32, seed=4)
+        images[1] = images[1].copy()
+        images[1][5, 7, 2] = np.nan
+        with pytest.raises(ValueError, match="epoch 1: non-finite train loss"):
+            train_cae(build_cae(cfg), images, smooth_images(2, 32, seed=5), cfg)
+
+    def test_nan_validation_pixel_stops_training(self):
+        cfg = CaeConfig(loss_kind="mse", max_epochs=3, patience=3, seed=4)
+        val = smooth_images(2, 32, seed=5)
+        val[0] = val[0].copy()
+        val[0][0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="epoch 1: non-finite validation loss"):
+            train_cae(build_cae(cfg), smooth_images(4, 32, seed=4), val, cfg)
+
     def test_loss_decreases_and_history_is_consistent(self):
         cfg = CaeConfig(loss_kind="mse", max_epochs=15, patience=15,
                         learning_rate=0.01, seed=2)

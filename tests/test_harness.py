@@ -5,7 +5,9 @@ import pytest
 
 from platerec import cli, harness, nn
 from platerec.cae import CaeConfig, build_cae
-from platerec.data import SynthConfig, generate_synthetic
+from platerec.data import (
+    SynthConfig, generate_synthetic, load_feature_file, load_split, save_feature_file,
+)
 from platerec.recmodel import RecConfig, build_recommender, forward_batch
 from platerec.recmodel import TriadBatch
 
@@ -192,6 +194,36 @@ class TestPipeline:
                         feature_file=str(out_dir / "features.txt"))
         rerun = harness.run_experiment(reuse)
         assert rerun.to_dict()["metrics"] == report.to_dict()["metrics"]
+
+    def test_nan_pixel_is_a_features_stage_error(self, synth_dirs, tmp_path, monkeypatch):
+        _, _, config, _ = synth_dirs
+        from dataclasses import replace
+        load = harness._load_resized
+
+        def load_with_nan(path, roots, size):
+            img = load(path, roots, size).copy()
+            img[0, 0, 0] = np.nan
+            return img
+
+        monkeypatch.setattr(harness, "_load_resized", load_with_nan)
+        with pytest.raises(harness.StageError) as err:
+            harness.run_experiment(replace(config, out_dir=str(tmp_path / "nan")))
+        assert err.value.stage == "features"
+        assert "epoch 1: non-finite train loss" in str(err.value)
+
+    def test_nan_feature_row_is_a_train_rec_stage_error(self, synth_dirs, tmp_path):
+        _, out_dir, config, _ = synth_dirs
+        from dataclasses import replace
+        train_ref = load_split(out_dir / "augmented_split.jsonl").rows_in("train")[0].image_path
+        features = load_feature_file(out_dir / "features.txt")
+        features[train_ref] = np.full_like(features[train_ref], np.nan)
+        save_feature_file(features, tmp_path / "nan.txt")
+        with pytest.raises(harness.StageError) as err:
+            harness.run_experiment(replace(config, out_dir=str(tmp_path / "nan"),
+                                           feature_source="feature-file",
+                                           feature_file=str(tmp_path / "nan.txt")))
+        assert err.value.stage == "train-rec"
+        assert "epoch 1: non-finite train loss" in str(err.value)
 
     def test_ablation_runs_both_variants(self, synth_dirs, tmp_path):
         data_dir, _, config, _ = synth_dirs

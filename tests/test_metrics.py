@@ -100,26 +100,34 @@ class TestEarlyStop:
 
     def test_stop_after_patience_one(self):
         state = EarlyStopState(patience=1)
-        assert state.update(0.5, 1, "w1") is True
-        assert state.update(0.6, 2, "w2") is True
-        assert state.update(0.6, 3, "w3") is False  # tie does not reset
+        assert state.update(0.5, 1, lambda: "w1") is True
+        assert state.update(0.6, 2, lambda: "w2") is True
+        assert state.update(0.6, 3, lambda: "w3") is False  # tie does not reset
         assert state.best_epoch == 2
         assert state.best_snapshot == "w2"
 
     def test_rising_scores_never_stop(self):
         state = EarlyStopState(patience=3)
         for epoch in range(1, 100):
-            assert state.update(epoch / 100.0, epoch, epoch) is True
+            assert state.update(epoch / 100.0, epoch, lambda: epoch) is True
 
     def test_constant_score_stops_at_patience_plus_one(self):
         state = EarlyStopState(patience=12)
         stopped_at = None
         for epoch in range(1, 100):
-            if not state.update(0.7, epoch, epoch):
+            if not state.update(0.7, epoch, lambda: epoch):
                 stopped_at = epoch
                 break
         assert stopped_at == 13
         assert state.best_epoch == 1
+
+    def test_snapshot_taken_once_per_strict_improvement(self):
+        state = EarlyStopState(patience=10)
+        taken = []
+        for epoch, score in enumerate([0.5, 0.5, 0.7, 0.6, 0.7, 0.8, 0.8], start=1):
+            state.update(score, epoch, lambda: taken.append(epoch) or epoch)
+        assert taken == [1, 3, 6]  # never on a tie or a drop
+        assert state.best_snapshot == 6
 
     def test_invalid_patience(self):
         with pytest.raises(ValueError):
@@ -132,7 +140,7 @@ class TestEarlyStop:
         seen = []
         for epoch, score in enumerate(scores, start=1):
             seen.append(score)
-            if not state.update(score, epoch, score):
+            if not state.update(score, epoch, lambda: score):
                 break
         assert state.best_score == max(seen)
         assert state.best_snapshot == max(seen)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -383,6 +385,56 @@ class TestAdam:
         p.grad[...] = 3.0
         nn.adam_step([p], lr=0.01)
         assert p.grad[0] == 3.0
+
+    def test_bit_identical_to_reference_formula(self):
+        # one call mixes dtypes and shapes, a large shape after a small one
+        shapes = [((3,), np.float32), ((7, 5), np.float64), ((64, 33), np.float32),
+                  ((2,), np.float64), ((4, 3, 3, 3), np.float32), ((40, 50), np.float64)]
+        rng = nn.make_rng(0, "adam-ref")
+        live, ref = [], []
+        for shape, dtype in shapes:
+            value = rng.normal(size=shape).astype(dtype)
+            live.append(nn.Parameter(value.copy()))
+            ref.append(nn.Parameter(value.copy()))
+        for _ in range(30):
+            grads = [rng.normal(scale=0.1, size=p.shape).astype(p.value.dtype) for p in live]
+            for p, q, g in zip(live, ref, grads):
+                p.grad[...] = g
+                q.grad[...] = g
+            nn.adam_step(live, lr=0.003)
+            _adam_reference(ref, lr=0.003)
+            for p, g in zip(live, grads):
+                assert np.array_equal(p.grad, g)
+        for p, q in zip(live, ref):
+            assert p.value.dtype == q.value.dtype
+            assert np.array_equal(p.value, q.value)
+            assert np.array_equal(p.adam_m, q.adam_m)
+            assert np.array_equal(p.adam_v, q.adam_v)
+            assert p.step_count == q.step_count == 30
+
+    def test_temporary_memory_is_two_scratch_buffers(self):
+        p = nn.Parameter(np.ones((1024, 1024), dtype=np.float32))
+        p.grad[...] = nn.make_rng(1, "adam-mem").normal(size=p.shape)
+        nn.adam_step([p], lr=0.01)  # warm: the first call may set up lazily
+        tracemalloc.start()
+        try:
+            nn.adam_step([p], lr=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * p.value.nbytes
+
+
+def _adam_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The allocating textbook Adam step that `nn.adam_step` must match bit for bit."""
+    for p in params:
+        p.step_count += 1
+        t = p.step_count
+        p.adam_m[...] = beta1 * p.adam_m + (1.0 - beta1) * p.grad
+        p.adam_v[...] = beta2 * p.adam_v + (1.0 - beta2) * p.grad ** 2
+        m_hat = p.adam_m / (1.0 - beta1 ** t)
+        v_hat = p.adam_v / (1.0 - beta2 ** t)
+        p.value -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.value.dtype)
 
 
 # ---------------------------------------------------------------------------

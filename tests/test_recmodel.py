@@ -191,6 +191,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_recommender(build_recommender(cfg), empty, make_batch(4, cfg, 0), cfg)
 
+    def test_nan_feature_row_stops_training(self):
+        cfg = self.cfg(max_epochs=5, patience=5)
+        train = separable_batch(60, cfg, 10)
+        train.features[17] = np.nan
+        with pytest.raises(ValueError, match="epoch 1: non-finite train loss"):
+            train_recommender(build_recommender(cfg), train, separable_batch(20, cfg, 11), cfg)
+
     def test_single_class_validation_warns(self):
         cfg = self.cfg(max_epochs=1, patience=1)
         train = separable_batch(40, cfg, 6)
