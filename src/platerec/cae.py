@@ -9,13 +9,11 @@ in (0, 1).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .metrics import EarlyStopState
 
 
 @dataclass
@@ -40,6 +38,10 @@ class CaeConfig:
             raise ValueError("only 3-channel inputs are supported")
         if self.loss_kind not in ("bce", "mse"):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+        if self.batch_size < 2:
+            raise ValueError(
+                f"batch_size must be >= 2 (training-mode batch norm), got {self.batch_size}"
+            )
 
     @property
     def code_shape(self):
@@ -50,34 +52,13 @@ class CaeConfig:
         c, h, w = self.code_shape
         return c * h * w
 
-    def to_dict(self):
-        return {
-            "input_height": self.input_height,
-            "input_width": self.input_width,
-            "input_channels": self.input_channels,
-            "loss_kind": self.loss_kind,
-            "batch_size": self.batch_size,
-            "patience": self.patience,
-            "max_epochs": self.max_epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class TrainHistory:
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    wall_time: list[float] = field(default_factory=list)
-    best_epoch: int = -1
-
-    def to_dict(self):
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "wall_time": self.wall_time,
-            "best_epoch": self.best_epoch,
-        }
+    train_loss: list[float]
+    val_loss: list[float]
+    wall_time: list[float]
+    best_epoch: int
 
 
 def _building_block(cin, cout, rng, dtype):
@@ -148,51 +129,23 @@ def _as_batch(images, config):
 
 
 def train_cae(model: CaeModel, train_images, val_images, config: CaeConfig):
-    """Early-stopped reconstruction training; restores the best-epoch weights.
+    """Early-stopped reconstruction training with `nn.fit`; restores the best-epoch weights.
 
     Monitors validation reconstruction loss (inference mode); stops after
     `patience` epochs without improvement and at most max_epochs. A
     non-finite train or validation loss raises ValueError naming the epoch.
     """
     x_train = _as_batch(train_images, config)
-    if x_train.shape[0] == 0:
-        raise ValueError("empty train set")
     x_val = _as_batch(val_images, config) if len(val_images) else x_train
 
-    rng = nn.make_rng(config.seed, "cae-train")
-    params = model.params()
-    history = TrainHistory()
-    stopper = EarlyStopState(patience=config.patience)
-    n = x_train.shape[0]
+    def batch_loss(idx):
+        batch = x_train[idx]
+        return nn.loss_eval(model.forward(batch, mode=nn.TRAINING), batch, config.loss_kind)
 
-    for epoch in range(1, config.max_epochs + 1):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, config.batch_size):
-            batch = x_train[order[start:start + config.batch_size]]
-            if batch.shape[0] < 2:
-                continue  # training-mode batch norm needs at least two samples
-            out = model.forward(batch, mode=nn.TRAINING)
-            loss, grad = nn.loss_eval(out, batch, config.loss_kind)
-            nn.zero_grads(params)
-            model.backward(grad)
-            nn.adam_step(params, config.learning_rate)
-            losses.append(loss)
-        train_loss = float(np.mean(losses))
-        nn.check_finite(train_loss, "train loss", epoch)
-        val_loss = evaluate_loss(model, x_val, config)
-        nn.check_finite(val_loss, "validation loss", epoch)
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        history.wall_time.append(time.perf_counter() - t0)
-        if not stopper.update(-val_loss, epoch, lambda: nn.snapshot_state(model)):
-            break
-
-    if stopper.best_snapshot is not None:
-        nn.load_state(model, stopper.best_snapshot)
-        history.best_epoch = stopper.best_epoch
-    return model, history
+    train_loss, val_score, wall_time, best_epoch = nn.fit(
+        model, x_train.shape[0], batch_loss, lambda: -evaluate_loss(model, x_val, config),
+        nn.make_rng(config.seed, "cae-train"), config)
+    return model, TrainHistory(train_loss, [-s for s in val_score], wall_time, best_epoch)
 
 
 def evaluate_loss(model: CaeModel, x_nchw, config: CaeConfig, batch_size=64):

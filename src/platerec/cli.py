@@ -1,14 +1,12 @@
-"""Command-line front end for the recommendation pipeline stages."""
+"""Command-line front end: each command maps its arguments onto harness stages."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import cae as cae_mod
 from . import data as data_mod
@@ -36,11 +34,6 @@ def _load_split_dir(split_dir):
     return data_mod.load_split(path)
 
 
-def _load_images(split, roots, size):
-    paths = sorted({row.image_path for row in split.rows})
-    return {p: harness._load_resized(p, roots, size) for p in paths}
-
-
 def cmd_synth(args):
     config = data_mod.SynthConfig(
         n_users=args.users, n_restaurants=args.restaurants,
@@ -52,27 +45,15 @@ def cmd_synth(args):
 
 
 def cmd_split(args):
-    reviews = data_mod.load_manifest(args.manifest)
-    split = data_mod.three_way_split(reviews, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data_mod.save_split(split, out / "split.jsonl")
+    split = harness.split_manifest(args.manifest, args.seed, args.out)
     for part in data_mod.PARTITIONS:
         print(f"{part}: {len(split.rows_in(part))} images")
 
 
 def cmd_augment(args):
     split = data_mod.load_split(Path(args.split) / "split.jsonl")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    augmented, new_rows = harness.materialize_augmentation(split, args.data, out)
-    full = data_mod.SplitAssignment(
-        rows=split.rows + new_rows,
-        user_index=split.user_index,
-        restaurant_index=split.restaurant_index,
-    )
-    data_mod.save_split(full, out / "augmented_split.jsonl")
-    print(f"materialized {len(new_rows)} augmented images")
+    full = harness.materialize_augmentation(split, args.data, args.out)
+    print(f"materialized {len(full.rows) - len(split.rows)} augmented images")
 
 
 def cmd_train_cae(args):
@@ -82,17 +63,10 @@ def cmd_train_cae(args):
         batch_size=args.batch, patience=args.patience,
         max_epochs=args.max_epochs, learning_rate=args.lr, seed=args.seed,
     )
-    images = _load_images(split, (args.data,), args.size)
-    train_imgs = [images[r.image_path] for r in split.rows_in("train")
-                  if r.origin == "original"]
-    val_imgs = [images[r.image_path] for r in split.rows_in("validation")]
-    model = cae_mod.build_cae(config)
-    model, history = cae_mod.train_cae(model, train_imgs, val_imgs, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    harness.save_checkpoint(model, out / "cae.ckpt")
-    with open(out / "cae_history.json", "w", encoding="utf-8") as fh:
-        json.dump(history.to_dict(), fh, indent=2)
+    images = harness.load_images(split, (args.data,), args.size)
+    _, history = harness.fit_cae(split, images, config, args.out)
+    with open(Path(args.out) / "cae_history.json", "w", encoding="utf-8") as fh:
+        json.dump(asdict(history), fh, indent=2)
     print(f"best epoch {history.best_epoch}, "
           f"val loss {min(history.val_loss):.6f}")
 
@@ -100,41 +74,27 @@ def cmd_train_cae(args):
 def cmd_extract(args):
     model = harness.load_checkpoint(args.cae)
     split = _load_split_dir(args.split)
-    size = model.config.input_height
-    roots = (args.data, args.split)
-    images = _load_images(split, roots, size)
-    paths = sorted(images)
-    codes = cae_mod.encode_images(model, [images[p] for p in paths])
-    features = {p: codes[i] for i, p in enumerate(paths)}
+    images = harness.load_images(split, (args.data, args.split), model.config.input_height)
+    features = harness.cae_features(model, images)
     data_mod.save_feature_file(features, args.out)
-    print(f"wrote {len(features)} feature vectors of length {codes.shape[1]} to {args.out}")
-
-
-def _rec_batches(split, features):
-    train = harness.triads_to_batch(split.triads("train"), features)
-    val = harness.triads_to_batch(split.triads("validation"), features)
-    return train, val
+    print(f"wrote {len(features)} feature vectors of length "
+          f"{model.config.code_length} to {args.out}")
 
 
 def cmd_train_rec(args):
     split = _load_split_dir(args.split)
     features = data_mod.load_feature_file(args.features)
-    train, val = _rec_batches(split, features)
-    config = rec_mod.RecConfig(
-        n_users=len(split.user_index), n_restaurants=len(split.restaurant_index),
-        image_feature_dim=train.features.shape[1], embed_dim=args.embed,
-        n_reduce_blocks=args.reduce_blocks, learning_rate=args.lr,
-        batch_size=args.batch, patience=args.patience,
-        max_epochs=args.max_epochs, decision_threshold=args.threshold,
-        seed=args.seed,
+    config = harness.classifier_config(
+        split, features, embed_dim=args.embed, n_reduce_blocks=args.reduce_blocks,
+        learning_rate=args.lr, batch_size=args.batch, patience=args.patience,
+        max_epochs=args.max_epochs, decision_threshold=args.threshold, seed=args.seed,
     )
-    model = rec_mod.build_recommender(config)
-    model, history = rec_mod.train_recommender(model, train, val, config)
+    model, history = harness.train_classifier(split, features, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.save_checkpoint(model, out / "rec.ckpt")
     with open(out / "rec_history.json", "w", encoding="utf-8") as fh:
-        json.dump(history.to_dict(), fh, indent=2)
+        json.dump(asdict(history), fh, indent=2)
     print(f"best epoch {history.best_epoch}, "
           f"val b_score {max(history.val_b_score):.4f}")
 
@@ -143,21 +103,18 @@ def cmd_evaluate(args):
     model = harness.load_checkpoint(args.model)
     split = _load_split_dir(args.split)
     features = data_mod.load_feature_file(args.features)
-    triads = split.triads(args.partition)
-    batch = harness.triads_to_batch(triads, features)
-    report = harness.evaluate_batch(model, batch, model.config.decision_threshold)
-    print(f"[{args.partition}] {len(triads)} triads")
+    report = harness.evaluate_partition(model, split, features, args.partition,
+                                        model.config.decision_threshold)
+    print(f"[{args.partition}] {report.counts.total} triads")
     print(format_report(report))
 
 
 def cmd_grid_search(args):
     split = _load_split_dir(args.split)
     features = data_mod.load_feature_file(args.features)
-    train, val = _rec_batches(split, features)
-    base = rec_mod.RecConfig(
-        n_users=len(split.user_index), n_restaurants=len(split.restaurant_index),
-        image_feature_dim=train.features.shape[1],
-        embed_dim=args.embed[0], batch_size=args.batch,
+    train, val = harness.classifier_batches(split, features)
+    base = harness.classifier_config(
+        split, features, embed_dim=args.embed[0], batch_size=args.batch,
         max_epochs=args.max_epochs, seed=args.seed,
     )
     rows, best = rec_mod.grid_search(train, val, args.lr, args.embed, base,

@@ -9,9 +9,10 @@ therefore every reported metric.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ def save_checkpoint(model, path):
     header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "tensors": directory,
     }
     with open(path, "wb") as fh:
@@ -157,9 +158,6 @@ class ExperimentConfig:
         if self.feature_source == "feature-file" and not self.feature_file:
             raise ValueError("feature-file source needs a feature_file path")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class RunReport:
@@ -172,15 +170,7 @@ class RunReport:
     n_reduce_blocks: int
 
     def to_dict(self):
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "metrics": {k: v.to_dict() for k, v in self.metrics.items()},
-            "cae_history": self.cae_history,
-            "rec_history": self.rec_history,
-            "wall_times": self.wall_times,
-            "n_reduce_blocks": self.n_reduce_blocks,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -204,29 +194,34 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Pipeline stages
 # ---------------------------------------------------------------------------
+# Each stage is the one implementation of its pipeline step: prepare_data and
+# train_and_evaluate chain them, and each CLI command runs one of them.
 
-def augmented_image_path(origin, original_path):
-    return f"augmented/{origin}__{Path(original_path).name}"
+def split_manifest(manifest_path, seed, out_dir):
+    """Three-way split of a review manifest, written to out_dir/split.jsonl."""
+    split = data_mod.three_way_split(data_mod.load_manifest(manifest_path), seed)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    data_mod.save_split(split, Path(out_dir) / "split.jsonl")
+    return split
 
 
 def materialize_augmentation(split, data_dir, out_dir):
     """Augment minority train triads and write the transformed image files.
 
-    Returns (augmented train triads, new split rows for the transformed
-    images). Transforms run at stored resolution, before any resizing.
+    Transforms run at stored resolution, before any resizing. Returns the
+    split with one train row per transformed image appended, and writes it
+    to out_dir/augmented_split.jsonl.
     """
     data_dir, out_dir = Path(data_dir), Path(out_dir)
     (out_dir / "augmented").mkdir(parents=True, exist_ok=True)
-    train_triads = split.triads("train")
-    augmented = data_mod.augment_minority(train_triads)
-    new_rows = []
     rev_user = {v: k for k, v in split.user_index.items()}
     rev_rest = {v: k for k, v in split.restaurant_index.items()}
+    new_rows = []
     written = set()
-    for t in augmented:
+    for t in data_mod.augment_minority(split.triads("train")):
         if t.origin == "original":
             continue
-        new_ref = augmented_image_path(t.origin, t.image_ref)
+        new_ref = f"augmented/{t.origin}__{Path(t.image_ref).name}"
         if new_ref not in written:
             img = data_mod.read_ppm(data_dir / t.image_ref)
             out = data_mod.apply_transform(img, KIND_OF_ORIGIN[t.origin])
@@ -237,8 +232,14 @@ def materialize_augmentation(split, data_dir, out_dir):
             restaurant_id=rev_rest[t.restaurant_index], label=t.label,
             origin=t.origin, partition="train",
         ))
-        t.image_ref = new_ref
-    return augmented, new_rows
+    full = data_mod.SplitAssignment(
+        rows=split.rows + new_rows,
+        user_index=split.user_index,
+        restaurant_index=split.restaurant_index,
+        review_partition=split.review_partition,
+    )
+    data_mod.save_split(full, out_dir / "augmented_split.jsonl")
+    return full
 
 
 def _load_resized(path, roots, size):
@@ -252,77 +253,79 @@ def _load_resized(path, roots, size):
     raise FileNotFoundError(f"image {path!r} not found under {list(map(str, roots))}")
 
 
+def load_images(split, roots, size):
+    """Every image of the split, resized to size x size, keyed by its path.
+
+    Each path is looked up under the roots in order.
+    """
+    return {p: _load_resized(p, roots, size)
+            for p in sorted({row.image_path for row in split.rows})}
+
+
+def fit_cae(split, images, config: cae_mod.CaeConfig, out_dir):
+    """Train the autoencoder on the split's original train images, early-stopped
+    on its validation images, and write out_dir/cae.ckpt."""
+    train = [images[r.image_path] for r in split.rows_in("train") if r.origin == "original"]
+    val = [images[r.image_path] for r in split.rows_in("validation")]
+    model, history = cae_mod.train_cae(cae_mod.build_cae(config), train, val, config)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    save_checkpoint(model, Path(out_dir) / "cae.ckpt")
+    return model, history
+
+
+def cae_features(model, images):
+    """The autoencoder's bottleneck code of every image, keyed like `images`."""
+    paths = sorted(images)
+    return dict(zip(paths, cae_mod.encode_images(model, [images[p] for p in paths])))
+
+
 @dataclass
 class PreparedData:
     split: data_mod.SplitAssignment       # includes augmented train rows
-    augmented_train: list                  # TriadExample list for training
     features: dict[str, np.ndarray]
-    feature_dim: int
     cae_history: dict | None
-    wall_times: dict[str, float] = field(default_factory=dict)
+    wall_times: dict[str, float]
+
+
+@contextlib.contextmanager
+def _stage(name, walls):
+    """Time a stage into walls[name]; any failure becomes StageError(name)."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    walls[name] = time.perf_counter() - t0
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
     """Stages up to and including feature extraction; artifacts land in out_dir."""
     data_dir, out_dir = Path(config.data_dir), Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     walls = {}
-
-    t0 = time.perf_counter()
-    try:
-        reviews = data_mod.load_manifest(data_dir / "manifest.jsonl")
-        split = data_mod.three_way_split(reviews, config.seed)
-        data_mod.save_split(split, out_dir / "split.jsonl")
-    except Exception as exc:
-        raise StageError("split", exc) from exc
-    walls["split"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        augmented, new_rows = materialize_augmentation(split, data_dir, out_dir)
-        full_split = data_mod.SplitAssignment(
-            rows=split.rows + new_rows,
-            user_index=split.user_index,
-            restaurant_index=split.restaurant_index,
-            review_partition=split.review_partition,
-        )
-        data_mod.save_split(full_split, out_dir / "augmented_split.jsonl")
-    except Exception as exc:
-        raise StageError("augment", exc) from exc
-    walls["augment"] = time.perf_counter() - t0
-
-    size = config.image_size
-    roots = (data_dir, out_dir)
-    t0 = time.perf_counter()
-    try:
-        all_paths = sorted({row.image_path for row in full_split.rows})
-        images = {p: _load_resized(p, roots, size) for p in all_paths}
-    except Exception as exc:
-        raise StageError("load-images", exc) from exc
-    walls["load-images"] = time.perf_counter() - t0
+    with _stage("split", walls):
+        split = split_manifest(data_dir / "manifest.jsonl", config.seed, out_dir)
+    with _stage("augment", walls):
+        split = materialize_augmentation(split, data_dir, out_dir)
+    with _stage("load-images", walls):
+        images = load_images(split, (data_dir, out_dir), config.image_size)
 
     cae_history = None
-    t0 = time.perf_counter()
-    try:
+    with _stage("features", walls):
         if config.feature_source == "cae":
             cae_config = cae_mod.CaeConfig(
-                input_height=size, input_width=size, loss_kind=config.cae_loss,
-                batch_size=config.cae_batch, patience=config.cae_patience,
-                max_epochs=config.cae_max_epochs, learning_rate=config.cae_lr,
-                seed=config.seed,
+                input_height=config.image_size, input_width=config.image_size,
+                loss_kind=config.cae_loss, batch_size=config.cae_batch,
+                patience=config.cae_patience, max_epochs=config.cae_max_epochs,
+                learning_rate=config.cae_lr, seed=config.seed,
             )
-            train_imgs = [images[r.image_path] for r in split.rows_in("train")]
-            val_imgs = [images[r.image_path] for r in split.rows_in("validation")]
-            model = cae_mod.build_cae(cae_config)
-            model, history = cae_mod.train_cae(model, train_imgs, val_imgs, cae_config)
-            cae_history = history.to_dict()
-            save_checkpoint(model, out_dir / "cae.ckpt")
-            codes = cae_mod.encode_images(model, [images[p] for p in all_paths])
-            features = {p: codes[i] for i, p in enumerate(all_paths)}
-            feature_dim = cae_config.code_length
+            model, history = fit_cae(split, images, cae_config, out_dir)
+            cae_history = asdict(history)
+            features = cae_features(model, images)
         elif config.feature_source == "random-projection":
-            feature_dim = config.image_feature_dim or 48
-            features = random_projection_features(images, feature_dim, config.seed)
+            features = random_projection_features(
+                images, config.image_feature_dim or 48, config.seed)
         else:
             features = data_mod.load_feature_file(config.feature_file)
             feature_dim = len(next(iter(features.values())))
@@ -331,21 +334,14 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
                     f"feature file has vectors of length {feature_dim}, "
                     f"expected {config.image_feature_dim}"
                 )
-            missing = [p for p in all_paths if p not in features]
+            missing = [p for p in images if p not in features]
             if missing:
                 raise KeyError(f"feature file lacks {len(missing)} image references, "
                                f"first missing: {missing[0]!r}")
         data_mod.save_feature_file(features, out_dir / "features.txt")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("features", exc) from exc
-    walls["features"] = time.perf_counter() - t0
 
-    return PreparedData(
-        split=full_split, augmented_train=augmented, features=features,
-        feature_dim=feature_dim, cae_history=cae_history, wall_times=walls,
-    )
+    return PreparedData(split=split, features=features, cae_history=cae_history,
+                        wall_times=walls)
 
 
 def triads_to_batch(triads, features) -> rec_mod.TriadBatch:
@@ -360,9 +356,42 @@ def triads_to_batch(triads, features) -> rec_mod.TriadBatch:
     )
 
 
+def classifier_config(split, features, **hyperparameters) -> rec_mod.RecConfig:
+    """RecConfig sized by the split's id maps and the feature vector length."""
+    return rec_mod.RecConfig(
+        n_users=len(split.user_index),
+        n_restaurants=len(split.restaurant_index),
+        image_feature_dim=len(next(iter(features.values()))),
+        **hyperparameters,
+    )
+
+
+def classifier_batches(split, features):
+    """(train, validation) batches the classifier trains and early-stops on;
+    train includes the augmented rows."""
+    return (triads_to_batch(split.triads("train"), features),
+            triads_to_batch(split.triads("validation"), features))
+
+
+def train_classifier(split, features, config: rec_mod.RecConfig):
+    """Build the classifier and train it on the split; returns (model, history)."""
+    train, val = classifier_batches(split, features)
+    return rec_mod.train_recommender(rec_mod.build_recommender(config), train, val, config)
+
+
 def evaluate_batch(model, batch, threshold) -> MetricsReport:
     probs = model.forward(batch, mode=nn.INFERENCE)
     return compute_metrics(confusion_counts(probs, batch.labels, threshold), threshold)
+
+
+def evaluate_partition(model, split, features, partition, threshold) -> MetricsReport:
+    """Metrics of one partition, on its original rows only.
+
+    Augmented rows are training inputs, not observations, so they are never
+    scored; this is the one definition of the train metrics.
+    """
+    triads = [t for t in split.triads(partition) if t.origin == "original"]
+    return evaluate_batch(model, triads_to_batch(triads, features), threshold)
 
 
 def train_and_evaluate(prepared: PreparedData, config: ExperimentConfig,
@@ -370,57 +399,32 @@ def train_and_evaluate(prepared: PreparedData, config: ExperimentConfig,
     """Train the recommender on the augmented train triads and evaluate all partitions."""
     if n_reduce_blocks is None:
         n_reduce_blocks = config.n_reduce_blocks
-    split = prepared.split
-    rec_config = rec_mod.RecConfig(
-        n_users=len(split.user_index),
-        n_restaurants=len(split.restaurant_index),
-        image_feature_dim=prepared.feature_dim,
-        embed_dim=config.embed_dim,
-        n_reduce_blocks=n_reduce_blocks,
-        learning_rate=config.rec_lr,
-        batch_size=config.rec_batch,
-        patience=config.rec_patience,
-        max_epochs=config.rec_max_epochs,
-        decision_threshold=config.threshold,
-        seed=config.seed,
+    split, features = prepared.split, prepared.features
+    rec_config = classifier_config(
+        split, features, embed_dim=config.embed_dim, n_reduce_blocks=n_reduce_blocks,
+        learning_rate=config.rec_lr, batch_size=config.rec_batch,
+        patience=config.rec_patience, max_epochs=config.rec_max_epochs,
+        decision_threshold=config.threshold, seed=config.seed,
     )
-    train_batch = triads_to_batch(prepared.augmented_train, prepared.features)
-    val_batch = triads_to_batch(split.triads("validation"), prepared.features)
-    model = rec_mod.build_recommender(rec_config)
-    model, history = rec_mod.train_recommender(model, train_batch, val_batch, rec_config)
-
-    reports = {}
-    for partition in data_mod.PARTITIONS:
-        triads = split.triads(partition) if partition != "train" else [
-            t for t in split.triads("train") if t.origin == "original"
-        ]
-        if triads:
-            reports[partition] = evaluate_batch(
-                model, triads_to_batch(triads, prepared.features), config.threshold
-            )
+    model, history = train_classifier(split, features, rec_config)
+    reports = {p: evaluate_partition(model, split, features, p, config.threshold)
+               for p in data_mod.PARTITIONS if split.rows_in(p)}
     return model, history, reports
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     prepared = prepare_data(config)
-    out_dir = Path(config.out_dir)
-    t0 = time.perf_counter()
-    try:
-        model, history, reports = train_and_evaluate(prepared, config)
-        save_checkpoint(model, out_dir / "rec.ckpt")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("train-rec", exc) from exc
     walls = dict(prepared.wall_times)
-    walls["train-rec"] = time.perf_counter() - t0
+    with _stage("train-rec", walls):
+        model, history, reports = train_and_evaluate(prepared, config)
+        save_checkpoint(model, Path(config.out_dir) / "rec.ckpt")
 
     report = RunReport(
-        config=config.to_dict(), seed=config.seed, metrics=reports,
-        cae_history=prepared.cae_history, rec_history=history.to_dict(),
+        config=asdict(config), seed=config.seed, metrics=reports,
+        cae_history=prepared.cae_history, rec_history=asdict(history),
         wall_times=walls, n_reduce_blocks=config.n_reduce_blocks,
     )
-    write_report(report, out_dir / "report.json")
+    write_report(report, Path(config.out_dir) / "report.json")
     return report
 
 
@@ -443,14 +447,14 @@ def run_ablation(config: ExperimentConfig, block_counts=(1, 2)):
     out_dir = Path(config.out_dir)
     variants = {}
     for n_blocks in block_counts:
-        t0 = time.perf_counter()
-        model, history, reports = train_and_evaluate(prepared, config, n_reduce_blocks=n_blocks)
-        save_checkpoint(model, out_dir / f"rec_{n_blocks}rb.ckpt")
         walls = dict(prepared.wall_times)
-        walls["train-rec"] = time.perf_counter() - t0
+        with _stage("train-rec", walls):
+            model, history, reports = train_and_evaluate(prepared, config,
+                                                         n_reduce_blocks=n_blocks)
+            save_checkpoint(model, out_dir / f"rec_{n_blocks}rb.ckpt")
         variants[str(n_blocks)] = RunReport(
-            config=config.to_dict(), seed=config.seed, metrics=reports,
-            cae_history=prepared.cae_history, rec_history=history.to_dict(),
+            config=asdict(config), seed=config.seed, metrics=reports,
+            cae_history=prepared.cae_history, rec_history=asdict(history),
             wall_times=walls, n_reduce_blocks=n_blocks,
         )
     table = ablation_table(variants, partition="test")

@@ -7,7 +7,7 @@ Undefined ratios (zero denominators) are reported as None, never silently 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,16 +35,7 @@ class MetricsReport:
     threshold: float
 
     def to_dict(self):
-        return {
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "f1": self.f1,
-            "b_score": self.b_score,
-            "counts": {"tp": self.counts.tp, "tn": self.counts.tn,
-                       "fp": self.counts.fp, "fn": self.counts.fn},
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -121,10 +112,6 @@ def compute_metrics(counts: ConfusionCounts, threshold=0.5) -> MetricsReport:
         counts=counts,
         threshold=threshold,
     )
-
-
-def evaluate(probabilities, labels, threshold=0.5) -> MetricsReport:
-    return compute_metrics(confusion_counts(probabilities, labels, threshold), threshold)
 
 
 @dataclass

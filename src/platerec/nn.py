@@ -4,7 +4,8 @@ Layers carry explicit forward/backward passes and are sufficient to build
 the convolutional autoencoder and the triad classifier: 3x3 same-padding
 convolution, 2x2 max pooling, 2x nearest-neighbor upsampling, batch
 normalization, dense, embedding lookup, ReLU/sigmoid, inverted dropout,
-He-uniform initialization, BCE/MSE losses and Adam.
+He-uniform initialization, BCE/MSE losses, Adam, and `fit`, the one
+early-stopped mini-batch training loop both networks use.
 
 Everything is a plain numpy array in float32; a float64 mode exists only
 for finite-difference gradient checking.
@@ -24,8 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 
 import numpy as np
+
+from .metrics import EarlyStopState
 
 DTYPE = np.float32
 
@@ -127,6 +131,52 @@ def adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         np.subtract(p.value, b, out=p.value)
+
+
+def fit(model, n_rows, batch_loss, validate, rng, config):
+    """Mini-batch Adam training, early-stopped on a validation score.
+
+    Each epoch permutes the `n_rows` training rows with `rng`. For each batch
+    of their indices, `batch_loss(idx)` runs the training-mode forward pass
+    and returns (loss, gradient wrt the model output); a trailing one-row
+    batch is skipped, as training-mode batch norm needs two rows. `validate()`
+    scores the epoch, higher is better. `config` supplies `learning_rate`,
+    `batch_size`, `patience` and `max_epochs`. The best-scoring weights are
+    restored at the end, and a non-finite train loss or validation score
+    raises ValueError naming the epoch.
+
+    Returns (train_loss, val_score, wall_time, best_epoch), lists per epoch.
+    """
+    if n_rows < 2:
+        raise ValueError(f"training needs at least 2 rows, got {n_rows}")
+    params = model.params()
+    stopper = EarlyStopState(patience=config.patience)
+    train_loss, val_score, wall_time = [], [], []
+    for epoch in range(1, config.max_epochs + 1):
+        t0 = time.perf_counter()
+        order = rng.permutation(n_rows)
+        losses = []
+        for start in range(0, n_rows, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            if len(idx) < 2:
+                continue
+            loss, grad = batch_loss(idx)
+            zero_grads(params)
+            model.backward(grad)
+            adam_step(params, config.learning_rate)
+            losses.append(loss)
+        loss = float(np.mean(losses))
+        check_finite(loss, "train loss", epoch)
+        score = validate()
+        check_finite(score, "validation loss or score", epoch)
+        train_loss.append(loss)
+        val_score.append(score)
+        wall_time.append(time.perf_counter() - t0)
+        if not stopper.update(score, epoch, lambda: snapshot_state(model)):
+            break
+    if stopper.best_snapshot is not None:
+        load_state(model, stopper.best_snapshot)
+    return train_loss, val_score, wall_time, stopper.best_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +611,10 @@ def loss_eval(prediction, target, kind):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def check_finite(loss, what, epoch):
-    """Stop training on a NaN or infinite epoch loss, naming the epoch."""
-    if not math.isfinite(loss):
-        raise ValueError(f"epoch {epoch}: non-finite {what} {loss}")
+def check_finite(value, what, epoch):
+    """Stop training on a NaN or infinite epoch loss or score, naming the epoch."""
+    if not math.isfinite(value):
+        raise ValueError(f"epoch {epoch}: non-finite {what} {value}")
 
 
 # ---------------------------------------------------------------------------

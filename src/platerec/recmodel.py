@@ -10,14 +10,13 @@ single sigmoid unit.
 from __future__ import annotations
 
 import itertools
-import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
-from .metrics import EarlyStopState, confusion_counts, compute_metrics
+from .metrics import b_score, confusion_counts, compute_metrics
 
 
 @dataclass
@@ -46,22 +45,10 @@ class RecConfig:
             raise ValueError(
                 f"n_reduce_blocks must be 1 or 2, got {self.n_reduce_blocks}"
             )
-
-    def to_dict(self):
-        return {
-            "n_users": self.n_users,
-            "n_restaurants": self.n_restaurants,
-            "image_feature_dim": self.image_feature_dim,
-            "embed_dim": self.embed_dim,
-            "n_reduce_blocks": self.n_reduce_blocks,
-            "dropout_p": self.dropout_p,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "patience": self.patience,
-            "max_epochs": self.max_epochs,
-            "decision_threshold": self.decision_threshold,
-            "seed": self.seed,
-        }
+        if self.batch_size < 2:
+            raise ValueError(
+                f"batch_size must be >= 2 (training-mode batch norm), got {self.batch_size}"
+            )
 
 
 @dataclass
@@ -88,18 +75,10 @@ class TriadBatch:
 
 @dataclass
 class RecTrainHistory:
-    train_loss: list[float] = field(default_factory=list)
-    val_b_score: list[float] = field(default_factory=list)
-    wall_time: list[float] = field(default_factory=list)
-    best_epoch: int = -1
-
-    def to_dict(self):
-        return {
-            "train_loss": self.train_loss,
-            "val_b_score": self.val_b_score,
-            "wall_time": self.wall_time,
-            "best_epoch": self.best_epoch,
-        }
+    train_loss: list[float]
+    val_b_score: list[float]
+    wall_time: list[float]
+    best_epoch: int
 
 
 class RecModel:
@@ -199,10 +178,6 @@ def build_recommender(config: RecConfig, rng=None, dtype=nn.DTYPE) -> RecModel:
     return RecModel(config, rng, dtype)
 
 
-def forward_batch(model: RecModel, batch: TriadBatch, mode=nn.INFERENCE, rng=None):
-    return model.forward(batch, mode=mode, rng=rng)
-
-
 def _val_b_score(model, val: TriadBatch, threshold):
     probs = model.forward(val, mode=nn.INFERENCE)
     report = compute_metrics(confusion_counts(probs, val.labels, threshold), threshold)
@@ -210,58 +185,30 @@ def _val_b_score(model, val: TriadBatch, threshold):
     if sens is None or spec is None:
         warnings.warn("validation set contains a single class; "
                       "treating the vacuous rate as 1.0 for monitoring")
-        sens = 1.0 if sens is None else sens
-        spec = 1.0 if spec is None else spec
-        if sens == 0 and spec == 0:
-            return 0.0
-        return 2.0 * sens * spec / (sens + spec)
+        return b_score(1.0 if sens is None else sens, 1.0 if spec is None else spec)
     return report.b_score
 
 
 def train_recommender(model: RecModel, train: TriadBatch, val: TriadBatch,
                       config: RecConfig):
-    """BCE training with per-epoch validation b_score monitoring.
+    """BCE training with `nn.fit`, monitoring the validation b_score each epoch.
 
     Early-stops after `patience` epochs without b_score improvement and
     restores the best-scoring weights. A non-finite train loss raises
     ValueError naming the epoch.
     """
-    if len(train) == 0:
-        raise ValueError("empty train set")
-    rng = nn.make_rng(config.seed, "rec-train")
     drop_rng = nn.make_rng(config.seed, "rec-dropout")
-    params = model.params()
-    history = RecTrainHistory()
-    stopper = EarlyStopState(patience=config.patience)
-    n = len(train)
 
-    for epoch in range(1, config.max_epochs + 1):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, config.batch_size):
-            batch = train.take(order[start:start + config.batch_size])
-            if len(batch) < 2:
-                continue  # batch norm constraint
-            probs = model.forward(batch, mode=nn.TRAINING, rng=drop_rng)
-            loss, grad = nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")
-            nn.zero_grads(params)
-            model.backward(grad)
-            nn.adam_step(params, config.learning_rate)
-            losses.append(loss)
-        train_loss = float(np.mean(losses))
-        nn.check_finite(train_loss, "train loss", epoch)
-        score = _val_b_score(model, val, config.decision_threshold)
-        history.train_loss.append(train_loss)
-        history.val_b_score.append(score)
-        history.wall_time.append(time.perf_counter() - t0)
-        if not stopper.update(score, epoch, lambda: nn.snapshot_state(model)):
-            break
+    def batch_loss(idx):
+        batch = train.take(idx)
+        probs = model.forward(batch, mode=nn.TRAINING, rng=drop_rng)
+        return nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")
 
-    if stopper.best_snapshot is not None:
-        nn.load_state(model, stopper.best_snapshot)
-        history.best_epoch = stopper.best_epoch
-    return model, history
+    history = nn.fit(
+        model, len(train), batch_loss,
+        lambda: _val_b_score(model, val, config.decision_threshold),
+        nn.make_rng(config.seed, "rec-train"), config)
+    return model, RecTrainHistory(*history)
 
 
 def predict(model: RecModel, user, restaurant, image_feature, threshold=None):

@@ -8,6 +8,7 @@ reproducible bit for bit, so the thresholds here are stable, not flaky.
 
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from platerec.data import (  # noqa: E402
 )
 from platerec.metrics import EarlyStopState, b_score  # noqa: E402
 from platerec.recmodel import (  # noqa: E402
-    RecConfig, TriadBatch, build_recommender, forward_batch, train_recommender,
+    RecConfig, TriadBatch, build_recommender, train_recommender,
 )
 
 
@@ -282,7 +283,7 @@ def test_determinism(tmp_path):
     metrics_identical = r1.to_dict()["metrics"] == r2.to_dict()["metrics"]
 
     loaded = harness.load_checkpoint(tmp_path / "out1" / "rec.ckpt")
-    cfg = RecConfig(**loaded.config.to_dict())
+    cfg = RecConfig(**asdict(loaded.config))
     rng = nn.make_rng(3, "probe")
     probe = TriadBatch(
         users=rng.integers(0, cfg.n_users, size=16),
@@ -292,8 +293,8 @@ def test_determinism(tmp_path):
     reload_path = tmp_path / "reload.ckpt"
     harness.save_checkpoint(loaded, reload_path)
     reloaded = harness.load_checkpoint(reload_path)
-    preds_identical = np.array_equal(forward_batch(loaded, probe),
-                                     forward_batch(reloaded, probe))
+    preds_identical = np.array_equal(loaded.forward(probe),
+                                     reloaded.forward(probe))
     verdict("determinism", metrics_identical and preds_identical,
             "repeated runs byte-identical; checkpoint round trip preserves "
             "predictions exactly")

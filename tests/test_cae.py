@@ -38,6 +38,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             CaeConfig(input_height=30, input_width=30)
 
+    @pytest.mark.parametrize("batch_size", [1, 0])
+    def test_batch_size_below_two_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            CaeConfig(batch_size=batch_size)
+
     @pytest.mark.parametrize("size", range(8, 225, 8))
     def test_code_length_formula(self, size):
         cfg = CaeConfig(input_height=size, input_width=size)
@@ -84,6 +89,11 @@ class TestTraining:
         cfg = CaeConfig(max_epochs=1)
         with pytest.raises(ValueError):
             train_cae(build_cae(cfg), [], [], cfg)
+
+    def test_one_image_train_set_rejected(self):
+        cfg = CaeConfig(max_epochs=1)
+        with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+            train_cae(build_cae(cfg), smooth_images(1, 32, seed=1), [], cfg)
 
     def test_nan_pixel_stops_training(self):
         cfg = CaeConfig(loss_kind="mse", max_epochs=3, patience=3, seed=4)

@@ -5,10 +5,11 @@ import pytest
 
 from platerec import cli, harness, nn
 from platerec.cae import CaeConfig, build_cae
+from platerec.metrics import MetricsReport, format_report
 from platerec.data import (
     SynthConfig, generate_synthetic, load_feature_file, load_split, save_feature_file,
 )
-from platerec.recmodel import RecConfig, build_recommender, forward_batch
+from platerec.recmodel import RecConfig, build_recommender
 from platerec.recmodel import TriadBatch
 
 
@@ -47,10 +48,10 @@ class TestCheckpoint:
     def test_loaded_model_identical_predictions(self, tmp_path):
         model = tiny_rec_model(seed=3)
         batch = probe_batch(model.config, seed=3)
-        before = forward_batch(model, batch)
+        before = model.forward(batch)
         path = tmp_path / "m.ckpt"
         harness.save_checkpoint(model, path)
-        after = forward_batch(harness.load_checkpoint(path), batch)
+        after = harness.load_checkpoint(path).forward(batch)
         assert np.array_equal(before, after)
 
     def test_corrupt_header_rejected(self, tmp_path):
@@ -238,7 +239,52 @@ class TestPipeline:
         assert (tmp_path / "abl" / "rec_2rb.ckpt").exists()
 
 
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """A synthetic dataset and one `platerec run` over it, through the CLI."""
+    data = tmp_path_factory.mktemp("cli-data")
+    out = tmp_path_factory.mktemp("cli-run")
+    assert cli.main(["synth", "--users", "20", "--size", "16", "--seed", "3",
+                     "--out", str(data)]) == 0
+    assert cli.main(["run", "--data", str(data), "--out", str(out), "--size", "16",
+                     "--seed", "3", "--embed", "16", "--cae-max-epochs", "2",
+                     "--max-epochs", "5"]) == 0
+    return data, out
+
+
 class TestCli:
+
+    def test_staged_commands_match_run(self, cli_run, tmp_path):
+        data, run_out = cli_run
+        out = tmp_path / "staged"
+        for argv in (
+            ["split", "--manifest", str(data / "manifest.jsonl"), "--seed", "3"],
+            ["augment", "--split", str(out), "--data", str(data)],
+            ["train-cae", "--split", str(out), "--data", str(data), "--size", "16",
+             "--max-epochs", "2", "--seed", "3"],
+            ["extract", "--cae", str(out / "cae.ckpt"), "--split", str(out),
+             "--data", str(data)],
+            ["train-rec", "--features", str(out / "features.txt"), "--split", str(out),
+             "--embed", "16", "--max-epochs", "5", "--seed", "3"],
+        ):
+            target = out / "features.txt" if argv[0] == "extract" else out
+            assert cli.main(argv + ["--out", str(target)]) == 0, argv[0]
+        for name in ("split.jsonl", "augmented_split.jsonl", "cae.ckpt",
+                     "features.txt", "rec.ckpt"):
+            assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+    def test_evaluate_train_matches_report(self, cli_run, capsys):
+        _, out = cli_run
+        train = MetricsReport.from_dict(
+            json.loads((out / "report.json").read_text())["metrics"]["train"])
+        # augmented rows are never scored: train metrics cover the original rows
+        assert train.counts.total == len(load_split(out / "split.jsonl").rows_in("train"))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--model", str(out / "rec.ckpt"),
+                         "--features", str(out / "features.txt"),
+                         "--split", str(out), "--partition", "train"]) == 0
+        assert capsys.readouterr().out == (
+            f"[train] {train.counts.total} triads\n{format_report(train)}\n")
 
     def test_synth_split_train_evaluate(self, tmp_path, capsys):
         data = tmp_path / "data"

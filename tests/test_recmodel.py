@@ -3,7 +3,7 @@ import pytest
 
 from platerec import nn
 from platerec.recmodel import (
-    RecConfig, TriadBatch, build_recommender, forward_batch, grid_search,
+    RecConfig, TriadBatch, build_recommender, grid_search,
     predict, train_recommender,
 )
 
@@ -47,6 +47,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             RecConfig(n_users=0, n_restaurants=2, image_feature_dim=4, embed_dim=8)
 
+    @pytest.mark.parametrize("batch_size", [1, 0])
+    def test_batch_size_below_two_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            RecConfig(n_users=2, n_restaurants=2, image_feature_dim=4, embed_dim=8,
+                      batch_size=batch_size)
+
 
 class TestArchitecture:
 
@@ -88,7 +94,7 @@ class TestForward:
     def test_probabilities_in_unit_interval(self):
         cfg = self.cfg()
         model = build_recommender(cfg)
-        probs = forward_batch(model, make_batch(10, cfg, 0))
+        probs = model.forward(make_batch(10, cfg, 0))
         assert probs.shape == (10,)
         assert np.all(probs > 0) and np.all(probs < 1)
 
@@ -97,22 +103,22 @@ class TestForward:
         model = build_recommender(cfg)
         batch = make_batch(9, cfg, 3)
         perm = nn.make_rng(7, "perm").permutation(9)
-        assert np.allclose(forward_batch(model, batch.take(perm)),
-                           forward_batch(model, batch)[perm], atol=1e-6)
+        assert np.allclose(model.forward(batch.take(perm)),
+                           model.forward(batch)[perm], atol=1e-6)
 
     def test_identical_triads_identical_outputs(self):
         cfg = self.cfg()
         model = build_recommender(cfg)
         one = make_batch(1, cfg, 5)
         idx = np.zeros(4, dtype=int)
-        probs = forward_batch(model, one.take(idx))
+        probs = model.forward(one.take(idx))
         assert np.allclose(probs, probs[0])
 
     def test_empty_batch_rejected(self):
         cfg = self.cfg()
         model = build_recommender(cfg)
         with pytest.raises(ValueError):
-            forward_batch(model, make_batch(6, cfg, 0).take(np.array([], dtype=int)))
+            model.forward(make_batch(6, cfg, 0).take(np.array([], dtype=int)))
 
     def test_training_needs_two_rows(self):
         cfg = self.cfg()
