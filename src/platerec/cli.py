@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import cae as cae_mod
@@ -63,7 +63,9 @@ def cmd_train_cae(args):
         batch_size=args.batch, patience=args.patience,
         max_epochs=args.max_epochs, learning_rate=args.lr, seed=args.seed,
     )
-    images = harness.load_images(split, (args.data,), args.size)
+    # fit_cae reads the train and validation images only
+    cae_rows = replace(split, rows=[r for r in split.rows if r.partition != "test"])
+    images = harness.load_images(cae_rows, (args.data,), args.size)
     _, history = harness.fit_cae(split, images, config, args.out)
     with open(Path(args.out) / "cae_history.json", "w", encoding="utf-8") as fh:
         json.dump(asdict(history), fh, indent=2)

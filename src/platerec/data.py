@@ -29,6 +29,8 @@ ORIGIN_OF_KIND = {
     "rescale_125": "rescaled",
     "translate_5_5": "translated",
 }
+# every origin a split row can carry: an original image or one augmentation
+SPLIT_ORIGINS = ("original", *ORIGIN_OF_KIND.values())
 
 PARTITIONS = ("train", "validation", "test")
 
@@ -289,6 +291,8 @@ def save_split(split: SplitAssignment, path):
 
 
 def load_split(path) -> SplitAssignment:
+    """Read a split file `save_split` wrote; a malformed line raises ValueError
+    naming `path:line`."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -297,10 +301,24 @@ def load_split(path) -> SplitAssignment:
                 continue
             try:
                 obj = json.loads(line)
-                row = SplitRow(obj["image_path"], obj["user_id"], obj["restaurant_id"],
-                               int(obj["label"]), obj["origin"], obj["partition"])
-            except (json.JSONDecodeError, KeyError) as exc:
+            except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed split line: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
+            try:
+                row = SplitRow(obj["image_path"], obj["user_id"], obj["restaurant_id"],
+                               obj["label"], obj["origin"], obj["partition"])
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            for name in ("image_path", "user_id", "restaurant_id"):
+                if not isinstance(getattr(row, name), str):
+                    raise ValueError(f"{path}:{lineno}: {name} must be a string")
+            if type(row.label) is not int or row.label not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {row.label!r}")
+            if row.origin not in SPLIT_ORIGINS:
+                raise ValueError(f"{path}:{lineno}: unknown origin {row.origin!r}")
             if row.partition not in PARTITIONS:
                 raise ValueError(f"{path}:{lineno}: unknown partition {row.partition!r}")
             rows.append(row)

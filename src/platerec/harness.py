@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,17 @@ class CheckpointError(ValueError):
     pass
 
 
+def _tensor_directory(state):
+    """name -> {"shape", "offset"} with the tensors laid end to end in sorted-name
+    order, offsets counted in float32 values; also returns the total count."""
+    directory = {}
+    offset = 0
+    for name in sorted(state):
+        directory[name] = {"shape": list(state[name].shape), "offset": offset}
+        offset += state[name].size
+    return directory, offset
+
+
 def save_checkpoint(model, path):
     """Header line (JSON) + raw little-endian float32 payload; bit-exact round trip."""
     if isinstance(model, cae_mod.CaeModel):
@@ -47,13 +58,7 @@ def save_checkpoint(model, path):
     else:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
     state = model.state_dict()
-    names = sorted(state)
-    directory = {}
-    offset = 0
-    for name in names:
-        arr = state[name]
-        directory[name] = {"shape": list(arr.shape), "offset": offset}
-        offset += arr.size
+    directory, _ = _tensor_directory(state)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
@@ -62,11 +67,45 @@ def save_checkpoint(model, path):
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name in names:
+        for name in directory:
             fh.write(np.ascontiguousarray(state[name], dtype="<f4").tobytes())
 
 
+_MODEL_KINDS = {
+    "cae": (cae_mod.CaeConfig, cae_mod.build_cae),
+    "rec": (rec_mod.RecConfig, rec_mod.build_recommender),
+}
+# JSON value types accepted for each config field annotation; bools are rejected
+_CONFIG_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _model_from_header(kind, config, path):
+    """Build the model a checkpoint header describes: every config field present,
+    of its annotated type, and accepted by the config and the layers."""
+    config_cls, build = _MODEL_KINDS[kind]
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: checkpoint config must be a JSON object")
+    annotations = {f.name: f.type for f in fields(config_cls)}
+    if set(config) != set(annotations):
+        raise CheckpointError(
+            f"{path}: config fields differ from {config_cls.__name__}: "
+            f"{sorted(set(config) ^ set(annotations))}"
+        )
+    for name, value in config.items():
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[annotations[name]]):
+            raise CheckpointError(
+                f"{path}: config field {name} must be of type {annotations[name]}, got {value!r}"
+            )
+    try:
+        return build(config_cls(**config))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid config: {exc}") from exc
+
+
 def load_checkpoint(path):
+    """Read a checkpoint `save_checkpoint` wrote. Anything else raises CheckpointError
+    naming the path: the tensor directory must be the one the writer lays out for
+    the model, and the payload must hold exactly its values."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -74,37 +113,36 @@ def load_checkpoint(path):
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint header must be a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"
         )
     kind = header.get("kind")
-    if kind == "cae":
-        config = cae_mod.CaeConfig(**header["config"])
-        model = cae_mod.build_cae(config)
-    elif kind == "rec":
-        config = rec_mod.RecConfig(**header["config"])
-        model = rec_mod.build_recommender(config)
-    else:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    model = _model_from_header(kind, header.get("config"), path)
 
-    floats = np.frombuffer(payload, dtype="<f4")
     live = model.state_dict()
-    directory = header["tensors"]
-    if set(live) != set(directory):
+    expected, total = _tensor_directory(live)
+    directory = header.get("tensors")
+    if not isinstance(directory, dict) or set(directory) != set(expected):
         raise CheckpointError(f"{path}: tensor directory does not match the model")
-    for name, arr in live.items():
-        meta = directory[name]
-        shape = tuple(meta["shape"])
-        if shape != arr.shape:
+    for name, meta in expected.items():
+        if directory[name] != meta:
             raise CheckpointError(
-                f"{path}: shape mismatch for {name}: file {shape}, model {arr.shape}"
+                f"{path}: tensor {name}: file has {directory[name]!r}, "
+                f"the model needs {meta!r}"
             )
-        start = meta["offset"]
-        end = start + arr.size
-        if end > floats.size:
-            raise CheckpointError(f"{path}: truncated payload for tensor {name}")
-        arr[...] = floats[start:end].reshape(shape)
+    if len(payload) != 4 * total:
+        raise CheckpointError(
+            f"{path}: payload holds {len(payload)} bytes, the tensors need {4 * total}"
+        )
+    floats = np.frombuffer(payload, dtype="<f4")
+    for name, arr in live.items():
+        start = expected[name]["offset"]
+        arr[...] = floats[start:start + arr.size].reshape(arr.shape)
     return model
 
 

@@ -335,19 +335,46 @@ class MaxPool2x2(Layer):
 
 
 class Upsample2x(Layer):
-    """Nearest-neighbor 2x upsampling; backward sums each 2x2 block."""
+    """Nearest-neighbor 2x upsampling; backward sums each 2x2 block.
+
+    Backward adds the four strided views of grad_out, one per block position
+    a b / c d, in the order numpy reduces the 6-D (N, C, H/2, 2, W/2, 2) view
+    over its two size-2 axes: (a+b) + (c+d), or ((a+b)+c)+d when the half
+    width is 1 and the two axes merge into one run of four, each added to
+    numpy's starting +0.0. The result is bit-identical to that reduction,
+    signed zeros included. It allocates the returned array and, for the
+    (c+d) term, one temporary of the same size, a quarter of grad_out.
+    """
 
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
         return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
     def backward(self, grad_out):
-        n, c, h, w = grad_out.shape
-        return grad_out.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+        a, b, c, d = (grad_out[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
+        out = np.add(a, b)
+        if out.shape[3] == 1:
+            out += c
+            out += d
+        else:
+            out += np.add(c, d)
+        out += 0.0  # turns a -0.0 sum into +0.0, as the reduction's start value does
+        return out
 
 
 class BatchNorm(Layer):
-    """Batch normalization: per channel for NCHW inputs, per feature for NF inputs."""
+    """Batch normalization: per channel for NCHW inputs, per feature for NF inputs.
+
+    Every call allocates only full-size arrays it returns or caches, plus one
+    scratch array in backward; the rest works in place. A training forward
+    centres x once into the array it caches as xhat and squares that into the
+    array it returns; an inference forward works in its output alone;
+    backward uses one dxhat array, which it returns, and one scratch array.
+    Each floating-point operation, its operands and their order are those of
+    the allocating textbook form (with `x.var`), so the output, the input
+    gradient, the parameter gradients and the running statistics are
+    bit-identical to it for contiguous inputs.
+    """
 
     EPS = 1e-5
     MOMENTUM = 0.99
@@ -386,8 +413,14 @@ class BatchNorm(Layer):
         if mode == TRAINING:
             if x.shape[0] < 2:
                 raise ValueError("training-mode batch normalization needs batch size >= 2")
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean = x.mean(axis=axes, keepdims=True)
+            # the sequence `x.var` runs: centre, square, sum, then divide by the
+            # count as an intp scalar (for float32, a float64 division rounded back)
+            xhat = x - mean
+            out = np.multiply(xhat, xhat)
+            var = out.sum(axis=axes)
+            np.divide(var, np.intp(x.size // self.num_features), out=var, casting="unsafe")
+            mean = mean.reshape(self.num_features)
             self.running_mean[...] = (
                 self.MOMENTUM * self.running_mean + (1 - self.MOMENTUM) * mean
             ).astype(self.running_mean.dtype)
@@ -395,22 +428,33 @@ class BatchNorm(Layer):
                 self.MOMENTUM * self.running_var + (1 - self.MOMENTUM) * var
             ).astype(self.running_var.dtype)
             std = np.sqrt(var.reshape(bshape) + self.EPS)
-            xhat = (x - mean.reshape(bshape)) / std
+            np.divide(xhat, std, out=xhat)
             self._cache = (xhat, std, axes, bshape)
-            return gamma * xhat + beta
-        std = np.sqrt(self.running_var.reshape(bshape) + self.EPS)
-        xhat = (x - self.running_mean.reshape(bshape)) / std
-        return gamma * xhat + beta
+            np.multiply(gamma, xhat, out=out)
+        else:
+            std = np.sqrt(self.running_var.reshape(bshape) + self.EPS)
+            out = np.subtract(x, self.running_mean.reshape(bshape))
+            np.divide(out, std, out=out)
+            np.multiply(gamma, out, out=out)
+        np.add(out, beta, out=out)
+        return out
 
     def backward(self, grad_out):
         xhat, std, axes, bshape = self._cache
-        self.gamma.grad += (grad_out * xhat).sum(axis=axes)
-        self.beta.grad += grad_out.sum(axis=axes)
         m = grad_out.size // self.num_features
-        dxhat = grad_out * self.gamma.value.reshape(bshape)
+        scratch = np.multiply(grad_out, xhat)
+        self.gamma.grad += scratch.sum(axis=axes)
+        self.beta.grad += grad_out.sum(axis=axes)
+        dxhat = np.multiply(grad_out, self.gamma.value.reshape(bshape))
         mean_d = dxhat.sum(axis=axes).reshape(bshape) / m
-        mean_dx = (dxhat * xhat).sum(axis=axes).reshape(bshape) / m
-        return (dxhat - mean_d - xhat * mean_dx) / std
+        np.multiply(dxhat, xhat, out=scratch)
+        mean_dx = scratch.sum(axis=axes).reshape(bshape) / m
+        # (dxhat - mean_d - xhat * mean_dx) / std, left to right
+        np.subtract(dxhat, mean_d, out=dxhat)
+        np.multiply(xhat, mean_dx, out=scratch)
+        np.subtract(dxhat, scratch, out=dxhat)
+        np.divide(dxhat, std, out=dxhat)
+        return dxhat
 
 
 class Dense(Layer):

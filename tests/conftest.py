@@ -1,4 +1,15 @@
+from hypothesis import strategies as st
+
 acceptance_verdicts = []
+
+# any JSON value, nested at most a few levels deep: input for the reader fuzz tests
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5,
+)
 
 
 def pytest_terminal_summary(terminalreporter):

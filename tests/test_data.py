@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import json_values
 from platerec import data
 from platerec.data import (
     ReviewRecord, SynthConfig, apply_transform, augment_minority,
@@ -40,13 +41,8 @@ def test_label_out_of_range():
 VALID_MANIFEST_OBJECT = {"review_id": "r1", "user_id": "u1", "restaurant_id": "x", "stars": 5,
                          "images": ["a.ppm"]}
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-10, 10)
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5),
-    lambda inner: (st.lists(inner, max_size=3)
-                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
-    max_leaves=5,
-)
+VALID_SPLIT_OBJECT = {"image_path": "a.ppm", "user_id": "u1", "restaurant_id": "x", "label": 1,
+                      "origin": "original", "partition": "train"}
 
 
 class TestManifest:
@@ -244,6 +240,45 @@ def test_split_file_round_trip(tmp_path):
     loaded = data.load_split(path)
     assert loaded.rows == split.rows
     assert loaded.user_index == split.user_index
+
+
+class TestSplitReader:
+
+    @pytest.mark.parametrize("origin", data.SPLIT_ORIGINS)
+    def test_every_written_origin_loads(self, tmp_path, origin):
+        p = tmp_path / "split.jsonl"
+        p.write_text(json.dumps({**VALID_SPLIT_OBJECT, "origin": origin}) + "\n")
+        assert data.load_split(p).rows[0].origin == origin
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"a.ppm"', "7"] + [
+        json.dumps({**VALID_SPLIT_OBJECT, field: value}) for field, value in [
+            ("label", 7), ("label", 0.7), ("label", 1.0), ("label", True), ("label", "abc"),
+            ("label", None), ("image_path", 5), ("user_id", None), ("restaurant_id", ["x"]),
+            ("origin", "mirrored"), ("origin", 3), ("partition", "holdout"), ("partition", [1]),
+        ]
+    ] + [json.dumps({k: v for k, v in VALID_SPLIT_OBJECT.items() if k != "label"})])
+    def test_malformed_line_reports_path_and_line(self, tmp_path, line):
+        p = tmp_path / "split.jsonl"
+        p.write_text(json.dumps(VALID_SPLIT_OBJECT) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}:2:"):
+            data.load_split(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(sorted(VALID_SPLIT_OBJECT)), value=json_values)
+    def test_fuzzed_field_loads_or_names_the_line(self, field, value):
+        obj = {**VALID_SPLIT_OBJECT, field: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "split.jsonl"
+            p.write_text(json.dumps(obj) + "\n")
+            try:
+                (row,) = data.load_split(p).rows
+            except ValueError as exc:
+                assert f"{p}:1:" in str(exc)
+                return
+        assert all(isinstance(v, str) for v in (row.image_path, row.user_id, row.restaurant_id))
+        assert type(row.label) is int and row.label in (0, 1)
+        assert row.origin in data.SPLIT_ORIGINS
+        assert row.partition in data.PARTITIONS
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import json_values
 from platerec import cli, harness, nn
 from platerec.cae import CaeConfig, build_cae
 from platerec.metrics import MetricsReport, format_report
@@ -95,6 +100,98 @@ class TestCheckpoint:
     def test_plain_object_rejected(self, tmp_path):
         with pytest.raises(harness.CheckpointError):
             harness.save_checkpoint(object(), tmp_path / "x.ckpt")
+
+
+def _read_checkpoint(path):
+    header_line, _, payload = path.read_bytes().partition(b"\n")
+    return json.loads(header_line), payload
+
+
+def _write_checkpoint(path, header, payload):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def _with_config(header, **fields):
+    return {**header, "config": {**header["config"], **fields}}
+
+
+def _with_tensor(header, index, entry):
+    tensors = dict(header["tensors"])
+    tensors[sorted(tensors)[index]] = entry
+    return {**header, "tensors": tensors}
+
+
+def _overlapping(header):
+    # the second tensor starts where the first does, so the payload's last
+    # floats belong to no tensor
+    first = header["tensors"][sorted(header["tensors"])[0]]
+    second = header["tensors"][sorted(header["tensors"])[1]]
+    return _with_tensor(header, 1, {**second, "offset": first["offset"]})
+
+
+MALFORMED_CHECKPOINTS = {
+    "trailing-bytes": lambda h, p: (h, p + bytes(8)),
+    "odd-payload-length": lambda h, p: (h, p + bytes(1)),
+    "truncated": lambda h, p: (h, p[:-4]),
+    "overlapping-offsets": lambda h, p: (_overlapping(h), p),
+    "overlapping-offsets-longer-payload": lambda h, p: (_overlapping(h), p + bytes(4)),
+    "header-list": lambda h, p: ([h], p),
+    "header-number": lambda h, p: (7, p),
+    "no-config": lambda h, p: ({k: v for k, v in h.items() if k != "config"}, p),
+    "config-not-object": lambda h, p: ({**h, "config": [1]}, p),
+    "unknown-config-field": lambda h, p: (_with_config(h, colour="red"), p),
+    "missing-config-field": lambda h, p: (
+        {**h, "config": {k: v for k, v in h["config"].items() if k != "seed"}}, p),
+    "config-string-for-int": lambda h, p: (_with_config(h, embed_dim="8"), p),
+    "config-float-for-int": lambda h, p: (_with_config(h, embed_dim=8.0), p),
+    "config-bool-for-int": lambda h, p: (_with_config(h, n_reduce_blocks=True), p),
+    "config-rejected-by-layer": lambda h, p: (_with_config(h, dropout_p=3), p),
+    "config-rejected-by-init": lambda h, p: (_with_config(h, image_feature_dim=0), p),
+    "kind-unhashable": lambda h, p: ({**h, "kind": ["rec"]}, p),
+    "tensors-not-object": lambda h, p: ({**h, "tensors": ["a"]}, p),
+    "tensor-entry-not-object": lambda h, p: (_with_tensor(h, 0, [1, 2]), p),
+}
+
+
+class TestCheckpointReader:
+    """Every malformed checkpoint raises CheckpointError naming its path."""
+
+    @pytest.mark.parametrize("malform", MALFORMED_CHECKPOINTS.values(),
+                             ids=MALFORMED_CHECKPOINTS.keys())
+    def test_malformed_checkpoint_names_the_path(self, tmp_path, malform):
+        path = tmp_path / "m.ckpt"
+        harness.save_checkpoint(tiny_rec_model(), path)
+        _write_checkpoint(path, *malform(*_read_checkpoint(path)))
+        with pytest.raises(harness.CheckpointError, match=re.escape(str(path))):
+            harness.load_checkpoint(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(where=st.sampled_from(["header", "top", "config", "tensor", "payload"]),
+           key=st.integers(0, 20), value=json_values, cut=st.integers(-9, 9))
+    def test_fuzzed_checkpoint_loads_or_names_the_path(self, where, key, value, cut):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            harness.save_checkpoint(tiny_rec_model(), path)
+            header, payload = _read_checkpoint(path)
+            if where == "header":
+                header = value
+            elif where == "payload":
+                payload = payload[:cut] if cut < 0 else payload + bytes(cut)
+            else:
+                target = {"top": header, "config": header["config"],
+                          "tensor": header["tensors"][sorted(header["tensors"])[0]]}[where]
+                names = sorted(target) + ["extra"]
+                target[names[key % len(names)]] = value
+            _write_checkpoint(path, header, payload)
+            try:
+                model = harness.load_checkpoint(path)
+            except harness.CheckpointError as exc:
+                assert str(path) in str(exc)
+                return
+            # a checkpoint that loads is read whole: saving it gives back its payload
+            resaved = Path(tmp) / "again.ckpt"
+            harness.save_checkpoint(model, resaved)
+            assert _read_checkpoint(resaved)[1] == payload
 
 
 class TestRandomProjection:
@@ -272,6 +369,26 @@ class TestCli:
         for name in ("split.jsonl", "augmented_split.jsonl", "cae.ckpt",
                      "features.txt", "rec.ckpt"):
             assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+    def test_train_cae_reads_only_train_and_validation_images(self, cli_run, tmp_path,
+                                                             monkeypatch):
+        data, run_out = cli_run
+        read = []
+        load_resized = harness._load_resized
+
+        def recording(path, roots, size):
+            read.append(path)
+            return load_resized(path, roots, size)
+
+        monkeypatch.setattr(harness, "_load_resized", recording)
+        out = tmp_path / "cae"
+        assert cli.main(["train-cae", "--split", str(run_out), "--data", str(data),
+                         "--size", "16", "--max-epochs", "2", "--seed", "3",
+                         "--out", str(out)]) == 0
+        rows = load_split(run_out / "split.jsonl").rows
+        assert sorted(read) == sorted(r.image_path for r in rows if r.partition != "test")
+        assert not {r.image_path for r in rows if r.partition == "test"} & set(read)
+        assert (out / "cae.ckpt").read_bytes() == (run_out / "cae.ckpt").read_bytes()
 
     def test_evaluate_train_matches_report(self, cli_run, capsys):
         _, out = cli_run

@@ -191,6 +191,33 @@ class TestUpsample:
         g = up.backward(np.ones((1, 1, 4, 4), dtype=np.float32))
         assert np.allclose(g, 4.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), c=st.integers(1, 64), h=st.integers(1, 9),
+           w=st.integers(1, 9), seed=st.integers(0, 2 ** 16))
+    @example(n=32, c=64, h=16, w=16, seed=0)
+    def test_backward_bit_identical_to_reference(self, n, c, h, w, seed):
+        # magnitudes over six decades, and signed zeros, make any change in
+        # the order of the four additions show in the bits
+        rng = rng64(seed, "up-ref")
+        shape = (n, c, 2 * h, 2 * w)
+        grad_out = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape)).astype(np.float32)
+        grad_out[rng.random(shape) < 0.2] = -0.0
+        up = nn.Upsample2x()
+        up.forward(np.zeros((n, c, h, w), dtype=np.float32), mode=nn.TRAINING)
+        got = up.backward(grad_out)
+        assert got.flags.c_contiguous
+        assert _same_bits(got, _upsample_backward_reference(grad_out))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _upsample_backward_reference(grad_out):
+    """The 6-D reduction that `nn.Upsample2x.backward` must match bit for bit."""
+    n, c, h, w = grad_out.shape
+    return grad_out.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+
 
 class TestBatchNorm:
 
@@ -220,6 +247,85 @@ class TestBatchNorm:
         bn.forward(x, mode=nn.TRAINING)
         assert bn.running_mean[0] == pytest.approx(0.01 * 1.0)
         assert bn.running_var[0] == pytest.approx(0.99 * 1.0 + 0.01 * 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), c=st.integers(1, 64), spatial=st.booleans(),
+           h=st.integers(1, 9), w=st.integers(1, 9),
+           scale=st.sampled_from([1e-3, 1.0, 50.0]), offset=st.sampled_from([0.0, -3.0, 200.0]),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=32, c=64, spatial=True, h=32, w=32, scale=1.0, offset=0.0, seed=0)
+    @example(n=3, c=5, spatial=True, h=7, w=3, scale=50.0, offset=200.0, seed=1)
+    def test_bit_identical_to_reference(self, n, c, spatial, h, w, scale, offset, seed):
+        shape = (n, c, h, w) if spatial else (n, c)
+        rng = rng64(seed, "bn-ref")
+        live, ref = nn.BatchNorm(c), nn.BatchNorm(c)
+        for name, value in live.tensors().items():
+            value[...] = rng.uniform(0.5, 2.0, c) if name == "running_var" else rng.normal(size=c)
+            ref.tensors()[name][...] = value
+        for _ in range(2):  # the second step starts from updated running statistics
+            x = (rng.normal(size=shape) * scale + offset).astype(np.float32)
+            grad_out = rng.normal(size=shape).astype(np.float32)
+            out = live.forward(x, mode=nn.TRAINING)
+            grad_in = live.backward(grad_out)
+            out_ref, grad_ref = _batchnorm_reference(ref, x, nn.TRAINING, grad_out)
+            assert _same_bits(out, out_ref)
+            assert _same_bits(grad_in, grad_ref)
+            for name, value in live.tensors().items():
+                assert _same_bits(value, ref.tensors()[name])
+            assert _same_bits(live.gamma.grad, ref.gamma.grad)
+            assert _same_bits(live.beta.grad, ref.beta.grad)
+            out_ref, _ = _batchnorm_reference(ref, x, nn.INFERENCE)
+            assert _same_bits(live.forward(x), out_ref)
+
+    def test_inference_forward_allocates_only_its_output(self):
+        bn = nn.BatchNorm(64)
+        bn.running_var[...] = 2.0
+        x = rng64(0, "bn-mem").normal(size=(64, 64, 32, 32)).astype(np.float32)
+        bn.forward(x)  # warm: the first call may set up lazily
+        tracemalloc.start()
+        try:
+            out = bn.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
+
+
+def _batchnorm_reference(bn, x, mode, grad_out=None):
+    """The allocating forward and backward that `nn.BatchNorm` must match bit for bit.
+
+    Runs the forward pass on `x`, updating the running statistics in training
+    mode, then, given `grad_out`, the backward pass, accumulating the gamma
+    and beta gradients. Returns (output, input gradient or None).
+    """
+    axes, bshape = bn._axes_and_shape(x)
+    gamma = bn.gamma.value.reshape(bshape)
+    beta = bn.beta.value.reshape(bshape)
+    if mode == nn.TRAINING:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        bn.running_mean[...] = (
+            bn.MOMENTUM * bn.running_mean + (1 - bn.MOMENTUM) * mean
+        ).astype(bn.running_mean.dtype)
+        bn.running_var[...] = (
+            bn.MOMENTUM * bn.running_var + (1 - bn.MOMENTUM) * var
+        ).astype(bn.running_var.dtype)
+        std = np.sqrt(var.reshape(bshape) + bn.EPS)
+        xhat = (x - mean.reshape(bshape)) / std
+        out = gamma * xhat + beta
+    else:
+        std = np.sqrt(bn.running_var.reshape(bshape) + bn.EPS)
+        xhat = (x - bn.running_mean.reshape(bshape)) / std
+        out = gamma * xhat + beta
+    if grad_out is None:
+        return out, None
+    bn.gamma.grad += (grad_out * xhat).sum(axis=axes)
+    bn.beta.grad += grad_out.sum(axis=axes)
+    m = grad_out.size // bn.num_features
+    dxhat = grad_out * bn.gamma.value.reshape(bshape)
+    mean_d = dxhat.sum(axis=axes).reshape(bshape) / m
+    mean_dx = (dxhat * xhat).sum(axis=axes).reshape(bshape) / m
+    return out, (dxhat - mean_d - xhat * mean_dx) / std
 
 
 class TestDense:
