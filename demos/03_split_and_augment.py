@@ -31,11 +31,11 @@ train_users = {r.user_id for r in split.rows if r.partition == "train"}
 test_users = {r.user_id for r in split.rows if r.partition == "test"}
 print(f"test users covered by train: {test_users <= train_users}")
 
-triads = split.triads("train")
-labels = Counter(t.label for t in triads)
+train = split.rows_in("train")
+labels = Counter(r.label for r in train)
 print(f"train labels before augmentation: {dict(labels)}")
-augmented = augment_minority(triads)
-labels_after = Counter(t.label for t in augmented)
+augmented = augment_minority(train)
+labels_after = Counter(r.label for r in augmented)
 print(f"after (minority x5): {dict(labels_after)}")
-origins = Counter(t.origin for t in augmented if t.origin != "original")
+origins = Counter(r.origin for r in augmented if r.origin != "original")
 print(f"transform origins: {dict(origins)}")

@@ -13,7 +13,7 @@ on disk as binary PPM (P6, maxval 255).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +50,9 @@ class ReviewRecord:
 
 
 @dataclass
-class TriadExample:
-    user_index: int
-    restaurant_index: int
-    image_ref: str
-    label: int
-    origin: str = "original"
-
-
-@dataclass
 class SplitRow:
+    """One review image: the (user, restaurant, image) triad with its label,
+    where the image came from and the partition it belongs to."""
     image_path: str
     user_id: str
     restaurant_id: str
@@ -73,22 +66,13 @@ class SplitAssignment:
     rows: list[SplitRow]
     user_index: dict[str, int]
     restaurant_index: dict[str, int]
-    review_partition: dict[str, str] | None = None  # review_id -> partition, when known
 
     def rows_in(self, partition):
         return [r for r in self.rows if r.partition == partition]
 
-    def triads(self, partition) -> list[TriadExample]:
-        return [
-            TriadExample(
-                user_index=self.user_index[r.user_id],
-                restaurant_index=self.restaurant_index[r.restaurant_id],
-                image_ref=r.image_path,
-                label=r.label,
-                origin=r.origin,
-            )
-            for r in self.rows_in(partition)
-        ]
+    def triads(self, partition) -> SplitAssignment:
+        """The partition's rows under this split's id maps."""
+        return replace(self, rows=self.rows_in(partition))
 
 
 def label_from_stars(stars: int) -> int:
@@ -227,54 +211,44 @@ def _split_reviews(reviews, seed):
     return {r.review_id for r in train}, {r.review_id for r in held}
 
 
-def _rows_for(reviews, partition_of_review):
+def _review_partition(reviews, seed):
+    """review_id -> "train" or "test" under the three rules."""
+    if not reviews:
+        raise ValueError("cannot split an empty manifest")
+    train_ids, test_ids = _split_reviews(reviews, seed)
+    part = dict.fromkeys(train_ids, "train")
+    part.update(dict.fromkeys(test_ids, "test"))
+    return part
+
+
+def _assignment(reviews, partition_of_review):
+    """One row per review image, in manifest order, in its review's partition."""
     rows = []
     for rec in reviews:
         part = partition_of_review[rec.review_id]
         label = label_from_stars(rec.stars)
         for img in rec.image_paths:
             rows.append(SplitRow(img, rec.user_id, rec.restaurant_id, label, "original", part))
-    return rows
+    return SplitAssignment(
+        rows=rows,
+        user_index=_index_map(r.user_id for r in reviews),
+        restaurant_index=_index_map(r.restaurant_id for r in reviews),
+    )
 
 
 def split_dataset(reviews, seed) -> SplitAssignment:
     """Two-way train/test split of a review manifest."""
-    if not reviews:
-        raise ValueError("cannot split an empty manifest")
-    train_ids, test_ids = _split_reviews(reviews, seed)
-    part = {rid: "train" for rid in train_ids}
-    part.update({rid: "test" for rid in test_ids})
-    return SplitAssignment(
-        rows=_rows_for(reviews, part),
-        user_index=_index_map(r.user_id for r in reviews),
-        restaurant_index=_index_map(r.restaurant_id for r in reviews),
-        review_partition=part,
-    )
-
-
-def make_train_val(reviews, split: SplitAssignment, seed) -> SplitAssignment:
-    """Re-split the train reviews with the same procedure into train/validation."""
-    if split.review_partition is None:
-        raise ValueError("split carries no review partition map; use split_dataset output")
-    train_reviews = [r for r in reviews if split.review_partition.get(r.review_id) == "train"]
-    if not train_reviews:
-        raise ValueError("train partition is empty, cannot carve a validation set")
-    sub_train, sub_val = _split_reviews(train_reviews, derive_seed(seed, "train-val"))
-    part = dict(split.review_partition)
-    part.update({rid: "train" for rid in sub_train})
-    part.update({rid: "validation" for rid in sub_val})
-    return SplitAssignment(
-        rows=_rows_for(reviews, part),
-        user_index=split.user_index,
-        restaurant_index=split.restaurant_index,
-        review_partition=part,
-    )
+    return _assignment(reviews, _review_partition(reviews, seed))
 
 
 def three_way_split(reviews, seed) -> SplitAssignment:
-    """Train/test split followed by the train/validation re-split."""
-    first = split_dataset(reviews, seed)
-    return make_train_val(reviews, first, seed)
+    """Train/test split, then the train reviews re-split with the same
+    procedure into train/validation."""
+    part = _review_partition(reviews, seed)
+    train_reviews = [r for r in reviews if part[r.review_id] == "train"]
+    _, val_ids = _split_reviews(train_reviews, derive_seed(seed, "train-val"))
+    part.update(dict.fromkeys(val_ids, "validation"))
+    return _assignment(reviews, part)
 
 
 def save_split(split: SplitAssignment, path):
@@ -361,21 +335,22 @@ def apply_transform(image, kind):
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
-def augment_minority(triads: list[TriadExample]) -> list[TriadExample]:
-    """Original plus all four transforms for every minority-class triad (x5)."""
+def augment_minority(rows: list[SplitRow]) -> list[SplitRow]:
+    """The rows, then one copy per transform of every original minority-class
+    row (x5), tagged with the transform's origin."""
     counts = {0: 0, 1: 0}
-    for t in triads:
-        counts[t.label] += 1
+    for r in rows:
+        counts[r.label] += 1
     if counts[0] == 0 or counts[1] == 0:
         minority = 0 if counts[0] > 0 else 1
     else:
         minority = 0 if counts[0] <= counts[1] else 1
-    out = list(triads)
-    for t in triads:
-        if t.label != minority or t.origin != "original":
+    out = list(rows)
+    for r in rows:
+        if r.label != minority or r.origin != "original":
             continue
         for kind in TRANSFORM_KINDS:
-            out.append(replace(t, origin=ORIGIN_OF_KIND[kind]))
+            out.append(replace(r, origin=ORIGIN_OF_KIND[kind]))
     return out
 
 
@@ -420,11 +395,14 @@ def read_ppm(path):
             raise ValueError(f"{path}: bad PPM header token") from exc
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PPM size must be positive, got {w} x {h}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    payload = blob[pos:pos + 3 * w * h]
-    if len(payload) < 3 * w * h:
-        raise ValueError(f"{path}: truncated PPM payload")
+    payload = blob[pos:]
+    if len(payload) != 3 * w * h:
+        what = "truncated" if len(payload) < 3 * w * h else "trailing bytes after"
+        raise ValueError(f"{path}: {what} PPM payload")
     u8 = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
     return (u8.astype(np.float32) / 255.0)
 
@@ -592,12 +570,16 @@ def save_feature_file(features: dict[str, np.ndarray], path):
 
 
 def load_feature_file(path) -> dict[str, np.ndarray]:
+    """Read a feature file `save_feature_file` wrote; a malformed one raises
+    ValueError naming `path` or `path:line`."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
             dim = int(header)
         except ValueError as exc:
             raise ValueError(f"{path}: bad feature-file header {header!r}") from exc
+        if dim < 1:
+            raise ValueError(f"{path}: feature length must be positive, got {dim}")
         features = {}
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
@@ -608,5 +590,16 @@ def load_feature_file(path) -> dict[str, np.ndarray]:
                 raise ValueError(
                     f"{path}:{lineno}: expected {dim} values, got {len(vals)}"
                 )
-            features[key] = np.array(vals, dtype=np.float32)
+            if key in features:
+                raise ValueError(f"{path}:{lineno}: duplicate image reference {key!r}")
+            try:
+                with np.errstate(over="ignore"):  # overflow becomes inf, rejected below
+                    vec = np.array(vals, dtype=np.float32)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: feature value not finite in float32")
+            features[key] = vec
+    if not features:
+        raise ValueError(f"{path}: feature file has no rows")
     return features

@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -244,7 +244,7 @@ def split_manifest(manifest_path, seed, out_dir):
 
 
 def materialize_augmentation(split, data_dir, out_dir):
-    """Augment minority train triads and write the transformed image files.
+    """Augment minority train rows and write the transformed image files.
 
     Transforms run at stored resolution, before any resizing. Returns the
     split with one train row per transformed image appended, and writes it
@@ -252,30 +252,19 @@ def materialize_augmentation(split, data_dir, out_dir):
     """
     data_dir, out_dir = Path(data_dir), Path(out_dir)
     (out_dir / "augmented").mkdir(parents=True, exist_ok=True)
-    rev_user = {v: k for k, v in split.user_index.items()}
-    rev_rest = {v: k for k, v in split.restaurant_index.items()}
     new_rows = []
     written = set()
-    for t in data_mod.augment_minority(split.triads("train")):
-        if t.origin == "original":
+    for row in data_mod.augment_minority(split.rows_in("train")):
+        if row.origin == "original":
             continue
-        new_ref = f"augmented/{t.origin}__{Path(t.image_ref).name}"
+        new_ref = f"augmented/{row.origin}__{Path(row.image_path).name}"
         if new_ref not in written:
-            img = data_mod.read_ppm(data_dir / t.image_ref)
-            out = data_mod.apply_transform(img, KIND_OF_ORIGIN[t.origin])
+            img = data_mod.read_ppm(data_dir / row.image_path)
+            out = data_mod.apply_transform(img, KIND_OF_ORIGIN[row.origin])
             data_mod.write_ppm(out, out_dir / new_ref)
             written.add(new_ref)
-        new_rows.append(data_mod.SplitRow(
-            image_path=new_ref, user_id=rev_user[t.user_index],
-            restaurant_id=rev_rest[t.restaurant_index], label=t.label,
-            origin=t.origin, partition="train",
-        ))
-    full = data_mod.SplitAssignment(
-        rows=split.rows + new_rows,
-        user_index=split.user_index,
-        restaurant_index=split.restaurant_index,
-        review_partition=split.review_partition,
-    )
+        new_rows.append(replace(row, image_path=new_ref))
+    full = replace(split, rows=split.rows + new_rows)
     data_mod.save_split(full, out_dir / "augmented_split.jsonl")
     return full
 
@@ -382,15 +371,15 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
                         wall_times=walls)
 
 
-def triads_to_batch(triads, features) -> rec_mod.TriadBatch:
-    if not triads:
+def triads_to_batch(split, features) -> rec_mod.TriadBatch:
+    """The classifier input for every row of `split`, ids mapped through its maps."""
+    if not split.rows:
         raise ValueError("no triads to batch")
-    feats = np.stack([features[t.image_ref] for t in triads])
     return rec_mod.TriadBatch(
-        users=np.array([t.user_index for t in triads]),
-        restaurants=np.array([t.restaurant_index for t in triads]),
-        features=feats,
-        labels=np.array([t.label for t in triads]),
+        users=np.array([split.user_index[r.user_id] for r in split.rows]),
+        restaurants=np.array([split.restaurant_index[r.restaurant_id] for r in split.rows]),
+        features=np.stack([features[r.image_path] for r in split.rows]),
+        labels=np.array([r.label for r in split.rows]),
     )
 
 
@@ -428,15 +417,13 @@ def evaluate_partition(model, split, features, partition, threshold) -> MetricsR
     Augmented rows are training inputs, not observations, so they are never
     scored; this is the one definition of the train metrics.
     """
-    triads = [t for t in split.triads(partition) if t.origin == "original"]
-    return evaluate_batch(model, triads_to_batch(triads, features), threshold)
+    originals = [r for r in split.rows_in(partition) if r.origin == "original"]
+    return evaluate_batch(model, triads_to_batch(replace(split, rows=originals), features),
+                          threshold)
 
 
-def train_and_evaluate(prepared: PreparedData, config: ExperimentConfig,
-                       n_reduce_blocks=None):
-    """Train the recommender on the augmented train triads and evaluate all partitions."""
-    if n_reduce_blocks is None:
-        n_reduce_blocks = config.n_reduce_blocks
+def train_and_evaluate(prepared: PreparedData, config: ExperimentConfig, n_reduce_blocks):
+    """Train the recommender on the augmented train rows and evaluate all partitions."""
     split, features = prepared.split, prepared.features
     rec_config = classifier_config(
         split, features, embed_dim=config.embed_dim, n_reduce_blocks=n_reduce_blocks,
@@ -450,18 +437,24 @@ def train_and_evaluate(prepared: PreparedData, config: ExperimentConfig,
     return model, history, reports
 
 
-def run_experiment(config: ExperimentConfig) -> RunReport:
-    prepared = prepare_data(config)
+def _train_rec(prepared: PreparedData, config: ExperimentConfig, n_reduce_blocks,
+               checkpoint_path) -> RunReport:
+    """The train-rec stage: train, evaluate and checkpoint one classifier."""
     walls = dict(prepared.wall_times)
     with _stage("train-rec", walls):
-        model, history, reports = train_and_evaluate(prepared, config)
-        save_checkpoint(model, Path(config.out_dir) / "rec.ckpt")
-
-    report = RunReport(
+        model, history, reports = train_and_evaluate(prepared, config, n_reduce_blocks)
+        save_checkpoint(model, checkpoint_path)
+    return RunReport(
         config=asdict(config), seed=config.seed, metrics=reports,
         cae_history=prepared.cae_history, rec_history=asdict(history),
-        wall_times=walls, n_reduce_blocks=config.n_reduce_blocks,
+        wall_times=walls, n_reduce_blocks=n_reduce_blocks,
     )
+
+
+def run_experiment(config: ExperimentConfig) -> RunReport:
+    prepared = prepare_data(config)
+    report = _train_rec(prepared, config, config.n_reduce_blocks,
+                        Path(config.out_dir) / "rec.ckpt")
     write_report(report, Path(config.out_dir) / "report.json")
     return report
 
@@ -483,18 +476,8 @@ def run_ablation(config: ExperimentConfig, block_counts=(1, 2)):
     """
     prepared = prepare_data(config)
     out_dir = Path(config.out_dir)
-    variants = {}
-    for n_blocks in block_counts:
-        walls = dict(prepared.wall_times)
-        with _stage("train-rec", walls):
-            model, history, reports = train_and_evaluate(prepared, config,
-                                                         n_reduce_blocks=n_blocks)
-            save_checkpoint(model, out_dir / f"rec_{n_blocks}rb.ckpt")
-        variants[str(n_blocks)] = RunReport(
-            config=asdict(config), seed=config.seed, metrics=reports,
-            cae_history=prepared.cae_history, rec_history=asdict(history),
-            wall_times=walls, n_reduce_blocks=n_blocks,
-        )
+    variants = {str(n): _train_rec(prepared, config, n, out_dir / f"rec_{n}rb.ckpt")
+                for n in block_counts}
     table = ablation_table(variants, partition="test")
     with open(out_dir / "ablation.json", "w", encoding="utf-8") as fh:
         json.dump({k: v.to_dict() for k, v in variants.items()}, fh, indent=2)

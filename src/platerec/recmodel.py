@@ -82,61 +82,44 @@ class RecTrainHistory:
 
 
 class RecModel:
+    """`layers` is the one list of (checkpoint name, layer) pairs, in forward
+    order: the user, restaurant and image branches, then the tail."""
 
     def __init__(self, config: RecConfig, rng, dtype=nn.DTYPE):
         d = config.embed_dim
         self.config = config
         self.dtype = dtype
-        self.user_emb = nn.Embedding(config.n_users, d, rng, dtype)
-        self.rest_emb = nn.Embedding(config.n_restaurants, d, rng, dtype)
-        self.image_fc = nn.Dense(config.image_feature_dim, d, rng, dtype)  # linear
-        self.concat_bn = nn.BatchNorm(3 * d, dtype)
-        self.expand_fc = nn.Dense(3 * d, 2 * d, rng, dtype)  # linear
+        self.layers = [
+            ("user_emb", nn.Embedding(config.n_users, d, rng, dtype)),
+            ("rest_emb", nn.Embedding(config.n_restaurants, d, rng, dtype)),
+            ("image_fc", nn.Dense(config.image_feature_dim, d, rng, dtype)),  # linear
+            ("concat_bn", nn.BatchNorm(3 * d, dtype)),
+            ("expand_fc", nn.Dense(3 * d, 2 * d, rng, dtype)),  # linear
+        ]
         width = 2 * d
-        self.blocks = []
-        for _ in range(config.n_reduce_blocks):
-            self.blocks.append((
-                nn.Dense(width, width // 2, rng, dtype),
-                nn.Dropout(config.dropout_p),
-                nn.ReLU(),
-            ))
+        for i in range(config.n_reduce_blocks):
+            self.layers += [(f"block{i}.fc", nn.Dense(width, width // 2, rng, dtype)),
+                            (f"block{i}.dropout", nn.Dropout(config.dropout_p)),
+                            (f"block{i}.relu", nn.ReLU())]
             width //= 2
-        self.half_fc = nn.Dense(width, width // 2, rng, dtype)
-        self.half_relu = nn.ReLU()
-        width //= 2
-        self.out_fc = nn.Dense(width, 1, rng, dtype)
-        self.out_sigmoid = nn.Sigmoid()
+        self.layers += [("half_fc", nn.Dense(width, width // 2, rng, dtype)),
+                        ("half_relu", nn.ReLU()),
+                        ("out_fc", nn.Dense(width // 2, 1, rng, dtype)),
+                        ("out_sigmoid", nn.Sigmoid())]
+        self.branches = [layer for _, layer in self.layers[:3]]
+        self.tail = nn.Sequential(layer for _, layer in self.layers[3:])
 
     def layer_widths(self):
-        widths = [3 * self.config.embed_dim, 2 * self.config.embed_dim]
-        w = widths[-1]
-        for _ in range(self.config.n_reduce_blocks + 1):
-            w //= 2
-            widths.append(w)
-        widths.append(1)
-        return widths
+        """The tail's input width, then the output width of each of its Dense layers."""
+        fcs = [layer for layer in self.tail.layers if isinstance(layer, nn.Dense)]
+        return [fcs[0].in_features] + [fc.out_features for fc in fcs]
 
     def params(self):
-        out = (self.user_emb.params() + self.rest_emb.params()
-               + self.image_fc.params() + self.concat_bn.params()
-               + self.expand_fc.params())
-        for fc, _, _ in self.blocks:
-            out += fc.params()
-        out += self.half_fc.params() + self.out_fc.params()
-        return out
+        return [p for _, layer in self.layers for p in layer.params()]
 
     def state_dict(self):
-        named = [("user_emb", self.user_emb), ("rest_emb", self.rest_emb),
-                 ("image_fc", self.image_fc), ("concat_bn", self.concat_bn),
-                 ("expand_fc", self.expand_fc)]
-        for i, (fc, _, _) in enumerate(self.blocks):
-            named.append((f"block{i}.fc", fc))
-        named += [("half_fc", self.half_fc), ("out_fc", self.out_fc)]
-        out = {}
-        for prefix, layer in named:
-            for name, arr in layer.tensors().items():
-                out[f"{prefix}.{name}"] = arr
-        return out
+        return {f"{prefix}.{name}": arr for prefix, layer in self.layers
+                for name, arr in layer.tensors().items()}
 
     def forward(self, batch: TriadBatch, mode=nn.INFERENCE, rng=None):
         """Probability per triad; concatenation order is (user, restaurant, image)."""
@@ -144,32 +127,16 @@ class RecModel:
             raise ValueError("empty batch")
         if mode == nn.TRAINING and len(batch) < 2:
             raise ValueError("training mode needs batch size >= 2 for batch norm")
-        eu = self.user_emb.forward(batch.users, mode=mode)
-        er = self.rest_emb.forward(batch.restaurants, mode=mode)
-        ei = self.image_fc.forward(np.asarray(batch.features, dtype=self.dtype), mode=mode)
-        x = np.concatenate([eu, er, ei], axis=1)
-        x = self.concat_bn.forward(x, mode=mode)
-        x = self.expand_fc.forward(x, mode=mode)
-        for fc, drop, relu in self.blocks:
-            x = fc.forward(x, mode=mode)
-            x = drop.forward(x, mode=mode, rng=rng)
-            x = relu.forward(x, mode=mode)
-        x = self.half_relu.forward(self.half_fc.forward(x, mode=mode), mode=mode)
-        x = self.out_sigmoid.forward(self.out_fc.forward(x, mode=mode), mode=mode)
-        return x[:, 0]
+        inputs = (batch.users, batch.restaurants, np.asarray(batch.features, dtype=self.dtype))
+        x = np.concatenate([branch.forward(inp, mode=mode)
+                            for branch, inp in zip(self.branches, inputs)], axis=1)
+        return self.tail.forward(x, mode=mode, rng=rng)[:, 0]
 
     def backward(self, grad_out):
-        g = self.out_sigmoid.backward(grad_out[:, None])
-        g = self.out_fc.backward(g)
-        g = self.half_fc.backward(self.half_relu.backward(g))
-        for fc, drop, relu in reversed(self.blocks):
-            g = fc.backward(drop.backward(relu.backward(g)))
-        g = self.expand_fc.backward(g)
-        g = self.concat_bn.backward(g)
-        d = self.config.embed_dim
-        self.user_emb.backward(g[:, :d])
-        self.rest_emb.backward(g[:, d:2 * d])
-        return self.image_fc.backward(g[:, 2 * d:])
+        g = self.tail.backward(grad_out[:, None])
+        grads = [branch.backward(part) for branch, part
+                 in zip(self.branches, np.split(g, len(self.branches), axis=1))]
+        return grads[-1]  # the image feature's gradient
 
 
 def build_recommender(config: RecConfig, rng=None, dtype=nn.DTYPE) -> RecModel:

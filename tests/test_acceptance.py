@@ -20,7 +20,7 @@ from test_data import check_invariants, random_manifest  # noqa: E402
 from platerec import harness, nn  # noqa: E402
 from platerec.cae import CaeConfig, build_cae, encode_image, train_cae  # noqa: E402
 from platerec.data import (  # noqa: E402
-    SynthConfig, TriadExample, augment_minority, generate_synthetic,
+    SplitRow, SynthConfig, augment_minority, generate_synthetic,
     resize_image, three_way_split,
 )
 from platerec.metrics import EarlyStopState, b_score  # noqa: E402
@@ -127,8 +127,8 @@ def test_augmentation_arithmetic():
     details = []
     ok = True
     for n_pos, n_neg, expected in cases:
-        triads = [TriadExample(0, 0, f"p{i}", 1) for i in range(n_pos)]
-        triads += [TriadExample(0, 0, f"n{i}", 0) for i in range(n_neg)]
+        triads = [SplitRow(f"p{i}", "u", "r", 1, "original", "train") for i in range(n_pos)]
+        triads += [SplitRow(f"n{i}", "u", "r", 0, "original", "train") for i in range(n_neg)]
         out = augment_minority(triads)
         pos = sum(t.label for t in out)
         neg = len(out) - pos

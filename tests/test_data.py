@@ -12,8 +12,18 @@ from platerec import data
 from platerec.data import (
     ReviewRecord, SynthConfig, apply_transform, augment_minority,
     generate_synthetic, label_from_stars, load_feature_file, load_manifest,
-    make_train_val, read_ppm, resize_image, save_feature_file, save_manifest,
+    read_ppm, resize_image, save_feature_file, save_manifest,
     split_dataset, three_way_split, write_ppm,
+)
+
+
+# one token of a feature-file line: numbers, non-finite spellings and junk text
+feature_tokens = st.one_of(
+    st.floats(width=32).map(repr),
+    st.integers(-10**40, 10**40).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e40", "0x1", "x"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            min_size=1, max_size=4),
 )
 
 
@@ -325,8 +335,8 @@ class TestTransforms:
 class TestAugmentMinority:
 
     def make_triads(self, n_pos, n_neg):
-        triads = [data.TriadExample(0, 0, f"p{i}", 1) for i in range(n_pos)]
-        triads += [data.TriadExample(0, 0, f"n{i}", 0) for i in range(n_neg)]
+        triads = [data.SplitRow(f"p{i}", "u", "r", 1, "original", "train") for i in range(n_pos)]
+        triads += [data.SplitRow(f"n{i}", "u", "r", 0, "original", "train") for i in range(n_neg)]
         return triads
 
     def test_minority_quintupled_majority_untouched(self):
@@ -380,6 +390,34 @@ class TestPpm:
         p.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
         with pytest.raises(ValueError, match="maxval"):
             read_ppm(p)
+
+    @pytest.mark.parametrize("size", [b"-2 2", b"0 2", b"2 0", b"2 -1"])
+    def test_size_below_one_names_the_path(self, tmp_path, size):
+        p = tmp_path / "s.ppm"
+        p.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(12))
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: PPM size must be positive"):
+            read_ppm(p)
+
+    def test_trailing_payload_bytes_name_the_path(self, tmp_path):
+        p = tmp_path / "t.ppm"
+        p.write_bytes(b"P6\n1 1\n255\n" + bytes(4))
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: trailing bytes"):
+            read_ppm(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.integers(-3, 3), h=st.integers(-3, 3), maxval=st.sampled_from([0, 255, 256]),
+           n_bytes=st.integers(0, 40))
+    def test_fuzzed_header_loads_or_names_the_path(self, w, h, maxval, n_bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "f.ppm"
+            p.write_bytes(b"P6\n%d %d\n%d\n" % (w, h, maxval) + bytes(n_bytes))
+            try:
+                img = read_ppm(p)
+            except ValueError as exc:
+                assert f"{p}: " in str(exc)
+                return
+        assert w >= 1 and h >= 1 and maxval == 255 and n_bytes == 3 * w * h
+        assert img.shape == (h, w, 3)
 
 
 class TestResize:
@@ -487,3 +525,44 @@ class TestFeatureFile:
         p.write_text("3\na 1 2 3\nb 1 2\n")
         with pytest.raises(ValueError, match="expected 3"):
             load_feature_file(p)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("2\na.ppm 1 x\n", 2),           # not a number
+        ("1\na.ppm 1\na.ppm 2\n", 3),     # duplicate image reference
+        ("1\na.ppm nan\n", 2),
+        ("1\na.ppm inf\n", 2),
+        ("2\na.ppm 1 -inf\n", 2),
+        ("1\na.ppm 1e40\n", 2),          # overflows float32
+        ("-1\n", None),
+        ("0\na.ppm\n", None),
+        ("3\n", None),                   # no rows, which save_feature_file refuses to write
+    ])
+    def test_malformed_file_names_the_path(self, tmp_path, text, lineno):
+        p = tmp_path / "f.txt"
+        p.write_text(text)
+        where = f"{p}:{lineno}:" if lineno else f"{p}: "
+        with pytest.raises(ValueError, match=re.escape(where)):
+            load_feature_file(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(-1, 3), draws=st.data())
+    def test_fuzzed_file_loads_or_names_the_path(self, dim, draws):
+        header = draws.draw(st.just(str(dim)) | feature_tokens)
+        # most lines carry as many values as the header declares
+        values = (st.just(max(dim, 0)) | st.integers(0, 4)).flatmap(
+            lambda n: st.lists(feature_tokens, min_size=n, max_size=n))
+        rows = draws.draw(st.lists(
+            st.tuples(st.sampled_from(["a.ppm", "b.ppm", "c.ppm"]), values), max_size=3))
+        lines = [" ".join([key, *vals]) for key, vals in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "f.txt"
+            p.write_text("\n".join([header, *lines]) + "\n")
+            try:
+                features = load_feature_file(p)
+            except ValueError as exc:
+                assert f"{p}:" in str(exc)
+                return
+        assert len(features) == len(lines)  # no line silently dropped or overwritten
+        for vec in features.values():
+            assert vec.dtype == np.float32 and len(vec) == int(header) >= 1
+            assert np.isfinite(vec).all()

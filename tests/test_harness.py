@@ -314,7 +314,9 @@ class TestPipeline:
         from dataclasses import replace
         train_ref = load_split(out_dir / "augmented_split.jsonl").rows_in("train")[0].image_path
         features = load_feature_file(out_dir / "features.txt")
-        features[train_ref] = np.full_like(features[train_ref], np.nan)
+        # the feature file rejects nan itself; the largest finite float32 loads and
+        # overflows to inf in the image projection, which batch norm turns into nan
+        features[train_ref] = np.full_like(features[train_ref], np.finfo(np.float32).max)
         save_feature_file(features, tmp_path / "nan.txt")
         with pytest.raises(harness.StageError) as err:
             harness.run_experiment(replace(config, out_dir=str(tmp_path / "nan"),
@@ -322,6 +324,20 @@ class TestPipeline:
                                            feature_file=str(tmp_path / "nan.txt")))
         assert err.value.stage == "train-rec"
         assert "epoch 1: non-finite train loss" in str(err.value)
+
+    def test_nan_in_feature_file_is_a_features_stage_error(self, synth_dirs, tmp_path):
+        _, out_dir, config, _ = synth_dirs
+        from dataclasses import replace
+        lines = (out_dir / "features.txt").read_text().splitlines()
+        key, *values = lines[1].split()
+        lines[1] = " ".join([key, "nan", *values[1:]])
+        (tmp_path / "nan.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(harness.StageError) as err:
+            harness.run_experiment(replace(config, out_dir=str(tmp_path / "nan"),
+                                           feature_source="feature-file",
+                                           feature_file=str(tmp_path / "nan.txt")))
+        assert err.value.stage == "features"
+        assert f"{tmp_path / 'nan.txt'}:2:" in str(err.value)
 
     def test_ablation_runs_both_variants(self, synth_dirs, tmp_path):
         data_dir, _, config, _ = synth_dirs

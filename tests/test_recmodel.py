@@ -77,8 +77,9 @@ class TestArchitecture:
                         embed_dim=16, n_reduce_blocks=2)
         model = build_recommender(cfg)
         widths = model.layer_widths()
-        chain = [model.expand_fc] + [fc for fc, _, _ in model.blocks]
-        chain += [model.half_fc, model.out_fc]
+        layers = dict(model.layers)
+        chain = [layers[name] for name in ("expand_fc", "block0.fc", "block1.fc",
+                                           "half_fc", "out_fc")]
         for fc, w_in, w_out in zip(chain, widths, widths[1:]):
             assert fc.weight.value.shape == (w_in, w_out)
 
@@ -148,7 +149,7 @@ class TestGradients:
                         seed=9)
         model = build_recommender(cfg, dtype=np.float64)
         batch = make_batch(5, cfg, 9)
-        probe = model.user_emb.table  # the table gradient exercises the whole net
+        probe = dict(model.layers)["user_emb"].table  # the table gradient exercises the whole net
 
         def loss_of():
             probs = model.forward(batch, mode=nn.TRAINING)
