@@ -32,9 +32,12 @@ err = nn.finite_diff_gradcheck(
 )
 print(f"conv gradient max relative error: {err:.2e}")
 
-# Adam drives a quadratic to its minimum in a few hundred steps.
+# Adam drives a quadratic to its minimum in a few hundred steps. It updates
+# an arena, parameters packed into one contiguous buffer as every model packs
+# its own, so the gradient is written into the arena's buffer in place.
 param = nn.Parameter(np.array([5.0, -3.0], dtype=np.float32))
+arena = nn.Arena([param])
 for step in range(500):
-    param.grad = 2.0 * (param.value - np.array([1.0, 2.0], dtype=np.float32))
-    nn.adam_step([param], lr=0.05)
+    param.grad[...] = 2.0 * (param.value - np.array([1.0, 2.0], dtype=np.float32))
+    nn.adam_step(arena, lr=0.05)
 print(f"adam minimized quadratic at {param.value.round(3)} (target [1, 2])")

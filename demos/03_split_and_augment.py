@@ -15,13 +15,13 @@ from platerec.data import (
     three_way_split,
 )
 
-tmp = Path(tempfile.mkdtemp())
-config = SynthConfig(n_users=80, n_restaurants=8, target_ratio=6.0,
-                     image_size=16, seed=3)
-manifest_path, _ = generate_synthetic(config, tmp)
-reviews = load_manifest(manifest_path)
-print(f"{len(reviews)} reviews, "
-      f"{sum(len(r.image_paths) for r in reviews)} images")
+with tempfile.TemporaryDirectory() as name:
+    config = SynthConfig(n_users=80, n_restaurants=8, target_ratio=6.0,
+                         image_size=16, seed=3)
+    manifest_path, _ = generate_synthetic(config, Path(name))
+    reviews = load_manifest(manifest_path)
+    print(f"{len(reviews)} reviews, "
+          f"{sum(len(r.image_paths) for r in reviews)} images")
 
 split = three_way_split(reviews, seed=3)
 parts = Counter(r.partition for r in split.rows)

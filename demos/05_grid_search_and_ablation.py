@@ -31,14 +31,15 @@ for row in rows:
 print(f"best: lr={best[0]:g}, embed={best[1]}\n")
 
 # Ablation: one vs two reduce blocks on the same data and features.
-tmp = Path(tempfile.mkdtemp())
-generate_synthetic(
-    SynthConfig(n_users=60, n_restaurants=8, target_ratio=4.0,
-                signal_strength=0.8, image_size=16, seed=5),
-    tmp / "data")
-config = harness.ExperimentConfig(
-    data_dir=str(tmp / "data"), out_dir=str(tmp / "out"), image_size=16,
-    seed=5, cae_max_epochs=2, cae_patience=2, embed_dim=8,
-    rec_max_epochs=8, rec_patience=8)
-result = harness.run_ablation(config, block_counts=(1, 2))
-print(result["table"])
+with tempfile.TemporaryDirectory() as name:
+    tmp = Path(name)
+    generate_synthetic(
+        SynthConfig(n_users=60, n_restaurants=8, target_ratio=4.0,
+                    signal_strength=0.8, image_size=16, seed=5),
+        tmp / "data")
+    config = harness.ExperimentConfig(
+        data_dir=str(tmp / "data"), out_dir=str(tmp / "out"), image_size=16,
+        seed=5, cae_max_epochs=2, cae_patience=2, embed_dim=8,
+        rec_max_epochs=8, rec_patience=8)
+    result = harness.run_ablation(config, block_counts=(1, 2))
+    print(result["table"])

@@ -66,11 +66,13 @@ def _building_block(cin, cout, rng, dtype):
 
 
 class CaeModel:
+    """Encoder and decoder; their parameters live in one `arena`, encoder first."""
 
     def __init__(self, encoder: nn.Sequential, decoder: nn.Sequential, config: CaeConfig):
         self.encoder = encoder
         self.decoder = decoder
         self.config = config
+        self.arena = nn.Arena(self.params())
 
     def params(self):
         return self.encoder.params() + self.decoder.params()

@@ -9,7 +9,6 @@ therefore every reported metric.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -314,17 +313,24 @@ class PreparedData:
     wall_times: dict[str, float]
 
 
-@contextlib.contextmanager
-def _stage(name, walls):
-    """Time a stage into walls[name]; any failure becomes StageError(name)."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, exc) from exc
-    walls[name] = time.perf_counter() - t0
+class _stage:
+    """Time a stage into walls[name]; any failure becomes StageError(name).
+
+    A class rather than a generator context manager: `contextlib.contextmanager`
+    would re-raise a StopIteration from the stage bare (PEP 479 handling).
+    """
+
+    def __init__(self, name, walls):
+        self.name, self.walls = name, walls
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.walls[self.name] = time.perf_counter() - self.t0
+        elif issubclass(exc_type, Exception) and not issubclass(exc_type, StageError):
+            raise StageError(self.name, exc) from exc
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:

@@ -83,7 +83,8 @@ class RecTrainHistory:
 
 class RecModel:
     """`layers` is the one list of (checkpoint name, layer) pairs, in forward
-    order: the user, restaurant and image branches, then the tail."""
+    order: the user, restaurant and image branches, then the tail. Their
+    parameters live in `arena`, in that order."""
 
     def __init__(self, config: RecConfig, rng, dtype=nn.DTYPE):
         d = config.embed_dim
@@ -108,6 +109,7 @@ class RecModel:
                         ("out_sigmoid", nn.Sigmoid())]
         self.branches = [layer for _, layer in self.layers[:3]]
         self.tail = nn.Sequential(layer for _, layer in self.layers[3:])
+        self.arena = nn.Arena(self.params())
 
     def layer_widths(self):
         """The tail's input width, then the output width of each of its Dense layers."""

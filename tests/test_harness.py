@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from platerec.metrics import MetricsReport, format_report
 from platerec.data import (
     SynthConfig, generate_synthetic, load_feature_file, load_split, save_feature_file,
 )
-from platerec.recmodel import RecConfig, build_recommender
+from platerec.recmodel import RecConfig, build_recommender, train_recommender
 from platerec.recmodel import TriadBatch
 
 
@@ -100,6 +101,39 @@ class TestCheckpoint:
     def test_plain_object_rejected(self, tmp_path):
         with pytest.raises(harness.CheckpointError):
             harness.save_checkpoint(object(), tmp_path / "x.ckpt")
+
+    def test_inference_load_holds_only_the_weights(self, tmp_path):
+        # the shape of a ranking classifier: 52 users, 15 restaurants, embed 512
+        cfg = RecConfig(n_users=52, n_restaurants=15, embed_dim=512,
+                        image_feature_dim=CaeConfig().code_length)
+        harness.save_checkpoint(build_recommender(cfg), tmp_path / "rec.ckpt")
+        tracemalloc.start()
+        try:
+            model = harness.load_checkpoint(tmp_path / "rec.ckpt")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arena = model.arena
+        assert arena.grad is None and arena.adam_m is None and arena.adam_v is None
+        assert arena.values.nbytes > 9_000_000
+        # tracemalloc sees the heap; the arena's buffer is a mapping apart from it
+        assert held + arena.values.nbytes <= 1.25 * arena.values.nbytes
+
+    def test_training_after_a_load_matches_the_original(self, tmp_path):
+        cfg = RecConfig(n_users=4, n_restaurants=3, image_feature_dim=6, embed_dim=8,
+                        batch_size=4, max_epochs=3, patience=3, seed=5)
+        original = build_recommender(cfg)
+        harness.save_checkpoint(original, tmp_path / "rec.ckpt")
+        loaded = harness.load_checkpoint(tmp_path / "rec.ckpt")
+        before = nn.snapshot_state(original)
+        train, val = probe_batch(cfg, 1), probe_batch(cfg, 2)
+        for model in (original, loaded):
+            train_recommender(model, train, val, cfg)
+        assert original.arena.step_count == loaded.arena.step_count > 0
+        trained = original.state_dict()
+        assert not np.array_equal(trained["expand_fc.weight"], before["expand_fc.weight"])
+        for name, arr in loaded.state_dict().items():
+            assert arr.tobytes() == trained[name].tobytes(), name
 
 
 def _read_checkpoint(path):
@@ -277,6 +311,21 @@ class TestPipeline:
         with pytest.raises(harness.StageError) as err:
             harness.run_experiment(config)
         assert err.value.stage == "split"
+
+    def test_stop_iteration_is_a_stage_error(self):
+        walls = {}
+        with pytest.raises(harness.StageError) as err:
+            with harness._stage("features", walls):
+                next(iter({}))
+        assert err.value.stage == "features"
+        assert isinstance(err.value.cause, StopIteration)
+        assert walls == {}
+
+    def test_stage_records_its_wall_time(self):
+        walls = {}
+        with harness._stage("split", walls):
+            pass
+        assert set(walls) == {"split"} and walls["split"] >= 0.0
 
     def test_rerun_metrics_identical(self, synth_dirs, tmp_path):
         data_dir, _, config, report = synth_dirs

@@ -463,72 +463,98 @@ class TestAdam:
 
     def test_zero_grad_is_noop(self):
         p = nn.Parameter(np.ones(4, dtype=np.float32))
-        nn.adam_step([p], lr=0.01)
+        arena = nn.Arena([p])
+        nn.adam_step(arena, lr=0.01)
         assert np.array_equal(p.value, np.ones(4, dtype=np.float32))
-        assert p.step_count == 1
+        assert arena.step_count == 1
 
     def test_first_step_magnitude(self):
         for g in (0.3, -2.0):
             p = nn.Parameter(np.array([1.0]))
+            arena = nn.Arena([p])
             p.grad[...] = g
-            nn.adam_step([p], lr=0.001)
+            nn.adam_step(arena, lr=0.001)
             assert abs(1.0 - p.value[0]) == pytest.approx(0.001, rel=1e-4)
 
     def test_converges_on_quadratic(self):
         p = nn.Parameter(np.array([1.0]))
+        arena = nn.Arena([p])
         for _ in range(500):
             p.zero_grad()
             p.grad[...] = 2.0 * p.value
-            nn.adam_step([p], lr=0.05)
+            nn.adam_step(arena, lr=0.05)
         assert abs(p.value[0]) < 0.01
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            nn.adam_step([nn.Parameter(np.zeros(1))], lr=0.0)
+            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=0.0)
 
     def test_grads_untouched(self):
         p = nn.Parameter(np.array([1.0]))
+        arena = nn.Arena([p])
         p.grad[...] = 3.0
-        nn.adam_step([p], lr=0.01)
+        nn.adam_step(arena, lr=0.01)
         assert p.grad[0] == 3.0
 
+    # Mixed shapes; at 64 Ki values a chunk, the (300, 250) tensor is larger
+    # than a chunk and straddles the first boundary, and the (200, 300) one
+    # straddles the second.
+    ADAM_SHAPES = [(3,), (7, 5), (300, 250), (2,), (4, 3, 3, 3), (200, 300), (33,)]
+
     def test_bit_identical_to_reference_formula(self):
-        # one call mixes dtypes and shapes, a large shape after a small one
-        shapes = [((3,), np.float32), ((7, 5), np.float64), ((64, 33), np.float32),
-                  ((2,), np.float64), ((4, 3, 3, 3), np.float32), ((40, 50), np.float64)]
+        for dtype in (np.float32, np.float64):
+            self.check_against_reference(dtype)
+
+    def check_against_reference(self, dtype):
         rng = nn.make_rng(0, "adam-ref")
-        live, ref = [], []
-        for shape, dtype in shapes:
-            value = rng.normal(size=shape).astype(dtype)
-            live.append(nn.Parameter(value.copy()))
-            ref.append(nn.Parameter(value.copy()))
+        values = [rng.normal(size=shape).astype(dtype) for shape in self.ADAM_SHAPES]
+        live = [nn.Parameter(value.copy()) for value in values]
+        arena = nn.Arena(live)
+        spans = np.cumsum([0] + [v.size for v in values])
+        assert spans[1] < nn.ADAM_CHUNK < spans[3] and spans[5] < 2 * nn.ADAM_CHUNK < spans[6]
+        ref = [_AdamReference(value) for value in values]
         for _ in range(30):
-            grads = [rng.normal(scale=0.1, size=p.shape).astype(p.value.dtype) for p in live]
+            grads = [rng.normal(scale=0.1, size=p.shape).astype(dtype) for p in live]
             for p, q, g in zip(live, ref, grads):
                 p.grad[...] = g
-                q.grad[...] = g
-            nn.adam_step(live, lr=0.003)
+                q.grad = g
+            nn.adam_step(arena, lr=0.003)
             _adam_reference(ref, lr=0.003)
             for p, g in zip(live, grads):
                 assert np.array_equal(p.grad, g)
         for p, q in zip(live, ref):
-            assert p.value.dtype == q.value.dtype
+            assert p.value.dtype == q.value.dtype == dtype
+            assert np.shares_memory(p.value, arena.values)
             assert np.array_equal(p.value, q.value)
-            assert np.array_equal(p.adam_m, q.adam_m)
-            assert np.array_equal(p.adam_v, q.adam_v)
-            assert p.step_count == q.step_count == 30
+        assert np.array_equal(arena.adam_m, np.concatenate([q.adam_m.ravel() for q in ref]))
+        assert np.array_equal(arena.adam_v, np.concatenate([q.adam_v.ravel() for q in ref]))
+        assert arena.step_count == 30
+        assert all(q.step_count == 30 for q in ref)
 
     def test_temporary_memory_is_two_scratch_buffers(self):
         p = nn.Parameter(np.ones((1024, 1024), dtype=np.float32))
+        arena = nn.Arena([p])
         p.grad[...] = nn.make_rng(1, "adam-mem").normal(size=p.shape)
-        nn.adam_step([p], lr=0.01)  # warm: the first call may set up lazily
+        nn.adam_step(arena, lr=0.01)  # the first call allocates the moments
         tracemalloc.start()
         try:
-            nn.adam_step([p], lr=0.01)
+            nn.adam_step(arena, lr=0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * p.value.nbytes
+        # two scratch chunks; the slack covers the chunk loop's view objects
+        assert peak <= 2 * nn.ADAM_CHUNK * p.value.itemsize + 4096
+
+
+class _AdamReference:
+    """One tensor's value, gradient and Adam state, held apart from any arena."""
+
+    def __init__(self, value):
+        self.value = value.copy()
+        self.grad = np.zeros_like(value)
+        self.adam_m = np.zeros_like(value)
+        self.adam_v = np.zeros_like(value)
+        self.step_count = 0
 
 
 def _adam_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -158,7 +158,7 @@ class TestGradients:
 
         probs = model.forward(batch, mode=nn.TRAINING)
         _, grad = nn.loss_eval(probs, batch.labels.astype(np.float64), "bce")
-        nn.zero_grads(model.params())
+        nn.zero_grads(model.arena)
         model.backward(grad)
         analytic = probe.grad.copy()
         numeric = nn.numerical_gradient(loss_of, probe.value)
@@ -220,6 +220,92 @@ class TestTraining:
         from platerec.recmodel import _val_b_score
         re_eval = _val_b_score(model, val, cfg.decision_threshold)
         assert re_eval == pytest.approx(max(history.val_b_score))
+
+
+class TestArena:
+
+    def cfg(self):
+        return RecConfig(n_users=5, n_restaurants=4, image_feature_dim=6, embed_dim=8,
+                         dropout_p=0.5, seed=4)
+
+    def train_steps(self, model, batch, n, lr=0.01):
+        rng = nn.make_rng(0, "arena-steps")
+        for _ in range(n):
+            probs = model.forward(batch, mode=nn.TRAINING, rng=rng)
+            _, grad = nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")
+            nn.zero_grads(model.arena)
+            model.backward(grad)
+            nn.adam_step(model.arena, lr)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_are_views_in_params_order(self, dtype):
+        model = build_recommender(self.cfg(), dtype=dtype)
+        arena = model.arena
+        assert arena.values.dtype == dtype
+        start = 0
+        for p in model.params():
+            assert p.value.base is arena.values
+            assert np.shares_memory(p.value, arena.values[start:start + p.value.size])
+            start += p.value.size
+        assert start == arena.values.size
+
+    def test_forward_allocates_no_training_state(self):
+        model = build_recommender(self.cfg())
+        model.forward(make_batch(6, self.cfg(), 1), mode=nn.INFERENCE)
+        assert model.arena.grad is None
+        assert model.arena.adam_m is None and model.arena.adam_v is None
+
+    def test_backward_allocates_the_gradient_buffer(self):
+        model = build_recommender(self.cfg())
+        batch = make_batch(6, self.cfg(), 1)
+        probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(0, "drop"))
+        model.backward(nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")[1])
+        arena = model.arena
+        assert arena.grad is not None and arena.adam_m is None
+        for p in model.params():
+            assert np.shares_memory(p.grad, arena.grad)
+        assert np.any(arena.grad != 0)
+
+    def test_grad_norm_is_the_norm_over_every_parameter(self):
+        model = build_recommender(self.cfg(), dtype=np.float64)
+        batch = make_batch(6, self.cfg(), 1)
+        probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(0, "drop"))
+        model.backward(nn.loss_eval(probs, batch.labels.astype(np.float64), "bce")[1])
+        expected = np.sqrt(sum(float(np.sum(p.grad ** 2)) for p in model.params()))
+        assert model.arena.grad_norm() == pytest.approx(expected, rel=1e-12)
+        nn.zero_grads(model.arena)
+        assert model.arena.grad_norm() == 0.0
+
+    def test_rebinding_a_gradient_is_rejected(self):
+        p = build_recommender(self.cfg()).params()[0]
+        with pytest.raises(AttributeError):
+            p.grad = np.zeros_like(p.value)
+
+    def test_one_dtype_per_arena(self):
+        with pytest.raises(ValueError):
+            nn.Arena([nn.Parameter(np.zeros(2, np.float32)), nn.Parameter(np.zeros(2))])
+
+    def test_snapshot_is_a_copy_and_restores_bit_exactly(self):
+        model = build_recommender(self.cfg())
+        batch = make_batch(12, self.cfg(), 2)
+        self.train_steps(model, batch, 2)
+        snapshot = nn.snapshot_state(model)
+        frozen = {name: arr.copy() for name, arr in snapshot.items()}
+        assert not any(np.shares_memory(arr, model.arena.values) for arr in snapshot.values())
+
+        self.train_steps(model, batch, 3)
+        for name, arr in snapshot.items():
+            assert np.array_equal(arr, frozen[name]), f"{name} followed the live model"
+        live = model.state_dict()
+        assert not np.array_equal(live["user_emb.table"], frozen["user_emb.table"])
+        assert not np.array_equal(live["concat_bn.running_mean"],
+                                  frozen["concat_bn.running_mean"])
+
+        nn.load_state(model, snapshot)
+        for name, arr in model.state_dict().items():
+            assert arr.tobytes() == frozen[name].tobytes(), name
+        for p in model.params():
+            assert np.shares_memory(p.value, model.arena.values)
 
 
 class TestGridSearch:
