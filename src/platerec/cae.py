@@ -65,31 +65,22 @@ def _building_block(cin, cout, rng, dtype):
     return [nn.Conv3x3(cin, cout, rng, dtype), nn.BatchNorm(cout, dtype), nn.ReLU()]
 
 
-class CaeModel:
-    """Encoder and decoder; their parameters live in one `arena`, encoder first."""
+class CaeModel(nn.Model):
+    """Encoder and decoder; their layers are named `encoder.<i>` and `decoder.<i>`."""
 
     def __init__(self, encoder: nn.Sequential, decoder: nn.Sequential, config: CaeConfig):
         self.encoder = encoder
         self.decoder = decoder
         self.config = config
-        self.arena = nn.Arena(self.params())
-
-    def params(self):
-        return self.encoder.params() + self.decoder.params()
+        super().__init__([(f"{part}.{i}", layer)
+                          for part, seq in (("encoder", encoder), ("decoder", decoder))
+                          for i, layer in enumerate(seq.layers)])
 
     def forward(self, x, mode=nn.INFERENCE):
         return self.decoder.forward(self.encoder.forward(x, mode=mode), mode=mode)
 
     def backward(self, grad_out):
         return self.encoder.backward(self.decoder.backward(grad_out))
-
-    def state_dict(self):
-        out = {}
-        for name, arr in self.encoder.state_dict().items():
-            out[f"encoder.{name}"] = arr
-        for name, arr in self.decoder.state_dict().items():
-            out[f"decoder.{name}"] = arr
-        return out
 
 
 def build_cae(config: CaeConfig, rng=None, dtype=nn.DTYPE) -> CaeModel:

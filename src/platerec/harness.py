@@ -37,37 +37,27 @@ class CheckpointError(ValueError):
     pass
 
 
-def _tensor_directory(state):
-    """name -> {"shape", "offset"} with the tensors laid end to end in sorted-name
-    order, offsets counted in float32 values; also returns the total count."""
-    directory = {}
-    offset = 0
-    for name in sorted(state):
-        directory[name] = {"shape": list(state[name].shape), "offset": offset}
-        offset += state[name].size
-    return directory, offset
-
-
 def save_checkpoint(model, path):
-    """Header line (JSON) + raw little-endian float32 payload; bit-exact round trip."""
+    """Header line (JSON) + raw little-endian float32 payload; bit-exact round trip.
+
+    The payload is the model's arena, whose layout is the header's tensor
+    directory: the tensors end to end in sorted-name order.
+    """
     if isinstance(model, cae_mod.CaeModel):
         kind = "cae"
     elif isinstance(model, rec_mod.RecModel):
         kind = "rec"
     else:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
-    state = model.state_dict()
-    directory, _ = _tensor_directory(state)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
         "config": asdict(model.config),
-        "tensors": directory,
+        "tensors": model.directory,
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name in directory:
-            fh.write(np.ascontiguousarray(state[name], dtype="<f4").tobytes())
+        fh.write(model.arena.values.astype("<f4", copy=False))
 
 
 _MODEL_KINDS = {
@@ -123,8 +113,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     model = _model_from_header(kind, header.get("config"), path)
 
-    live = model.state_dict()
-    expected, total = _tensor_directory(live)
+    expected, values = model.directory, model.arena.values
     directory = header.get("tensors")
     if not isinstance(directory, dict) or set(directory) != set(expected):
         raise CheckpointError(f"{path}: tensor directory does not match the model")
@@ -134,14 +123,11 @@ def load_checkpoint(path):
                 f"{path}: tensor {name}: file has {directory[name]!r}, "
                 f"the model needs {meta!r}"
             )
-    if len(payload) != 4 * total:
+    if len(payload) != 4 * values.size:
         raise CheckpointError(
-            f"{path}: payload holds {len(payload)} bytes, the tensors need {4 * total}"
+            f"{path}: payload holds {len(payload)} bytes, the tensors need {4 * values.size}"
         )
-    floats = np.frombuffer(payload, dtype="<f4")
-    for name, arr in live.items():
-        start = expected[name]["offset"]
-        arr[...] = floats[start:start + arr.size].reshape(arr.shape)
+    values[...] = np.frombuffer(payload, dtype="<f4")
     return model
 
 
@@ -208,15 +194,6 @@ class RunReport:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            config=d["config"], seed=d["seed"],
-            metrics={k: MetricsReport.from_dict(v) for k, v in d["metrics"].items()},
-            cae_history=d["cae_history"], rec_history=d["rec_history"],
-            wall_times=d["wall_times"], n_reduce_blocks=d["n_reduce_blocks"],
-        )
 
 
 class StageError(RuntimeError):
@@ -524,8 +501,3 @@ def write_report(report: RunReport, path):
             lines.append("")
     with open(path.with_suffix(".txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
-
-
-def load_report(path) -> RunReport:
-    with open(path, encoding="utf-8") as fh:
-        return RunReport.from_dict(json.load(fh))

@@ -37,14 +37,6 @@ class MetricsReport:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            sensitivity=d["sensitivity"], specificity=d["specificity"],
-            precision=d["precision"], f1=d["f1"], b_score=d["b_score"],
-            counts=ConfusionCounts(**d["counts"]), threshold=d["threshold"],
-        )
-
 
 def _fmt(v):
     return "n/a" if v is None else f"{v:.4f}"

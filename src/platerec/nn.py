@@ -20,16 +20,18 @@ the kernel: when 9 * C_in <= C_out the slices are stacked into one GEMM,
 otherwise nine per-tap GEMMs accumulate. Max pooling takes the maximum of
 the four strided views of its input.
 
-Each model packs its parameters into one `Arena` (the flat parameter and
-gradient buffers of ZeRO, Rajbhandari et al., arXiv:1910.02054): every
-parameter value is a view into one contiguous buffer, laid out in the
-model's `params()` order, and every gradient a view into a second buffer of
+Each `Model` packs its persistent tensors, parameters and batch-norm running
+statistics alike, into one `Arena` (the flat parameter and gradient buffers
+of ZeRO, Rajbhandari et al., arXiv:1910.02054): every tensor is a view into
+one contiguous buffer, laid out in sorted-name order, which is the order of
+the checkpoint payload, and every gradient a view into a second buffer of
 the same layout. The gradient buffer and Adam's two moment buffers are
 allocated on first training use, so a model that is only run forward, such
-as one loaded from a checkpoint to rank, holds its weights and batch-norm
-running statistics and nothing else. With the arena, `zero_grads` is one
-fill, `adam_step` is one chunked pass over the arena, and the global
-gradient norm is one dot product.
+as one loaded from a checkpoint to rank, holds its weights and running
+statistics and nothing else. With the arena, `zero_grads` is one fill,
+`adam_step` is one chunked pass over the arena, the global gradient norm is
+one dot product, and a snapshot, a restore, a checkpoint write and a
+checkpoint read are one copy each.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def he_uniform_init(shape, fan_in: int, rng: np.random.Generator, dtype=DTYPE):
 # ---------------------------------------------------------------------------
 
 class Parameter:
-    """A trainable tensor. Once packed into an `Arena`, `value` and `grad` are
+    """A persistent tensor. Once packed into an `Arena`, `value` and `grad` are
     views into the arena's buffers; `grad` is allocated on first use."""
 
     def __init__(self, value):
@@ -120,15 +122,16 @@ ADAM_CHUNK = 64 * 1024
 
 
 class Arena:
-    """One model's parameters laid end to end in one contiguous buffer.
+    """One model's tensors laid end to end in one contiguous buffer.
 
-    `values` holds every parameter, in the order given, in their one dtype,
-    and each `Parameter.value` becomes a view into it. `grad`, `adam_m` and
-    `adam_v` have the same layout and stay None until training first needs
-    them (`zero_grads`, a backward pass or `adam_step`), so a model that only
-    runs forward holds its weights and nothing else. Packing happens once,
-    when the model is built: it copies the values in and drops any gradient
-    a parameter held on its own.
+    `values` holds every parameter, in the order given (a `Model` gives its
+    sorted-name order), in their one dtype, and each `Parameter.value`
+    becomes a view into it. `grad`, `adam_m` and `adam_v` have the same
+    layout and stay None until training first needs them (`zero_grads`, a
+    backward pass or `adam_step`), so a model that only runs forward holds
+    its weights and nothing else. Packing happens once, when the model is
+    built: it copies the values in and drops any gradient a parameter held
+    on its own.
 
     Each buffer is an anonymous memory mapping of its own rather than a
     malloc heap block: it is large and lives as long as its model, and a
@@ -235,8 +238,9 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
     batch is skipped, as training-mode batch norm needs two rows. `validate()`
     scores the epoch, higher is better. `config` supplies `learning_rate`,
     `batch_size`, `patience` and `max_epochs`. The best-scoring weights are
-    restored at the end, and a non-finite train loss or validation score
-    raises ValueError naming the epoch.
+    restored at the end and the layers' training caches released; a
+    non-finite train loss or validation score raises ValueError naming the
+    epoch.
 
     Returns (train_loss, val_score, wall_time, best_epoch), lists per epoch.
     """
@@ -269,6 +273,8 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
             break
     if stopper.best_snapshot is not None:
         load_state(model, stopper.best_snapshot)
+    for _, layer in model.layers:
+        layer._cache = None  # the last batch's activations; a training forward refills them
     return train_loss, val_score, wall_time, stopper.best_epoch
 
 
@@ -284,12 +290,15 @@ def _check_mode(mode):
 class Layer:
     """Base class: forward caches what backward needs (training mode only)."""
 
-    def params(self):
-        return []
+    _cache = None
 
     def tensors(self):
-        """Named persistent tensors: parameter values plus running state."""
+        """Named persistent tensors as Parameters: trainable ones plus running state."""
         return {}
+
+    def params(self):
+        """The trainable Parameters."""
+        return list(self.tensors().values())
 
     def forward(self, x, mode=INFERENCE, rng=None):
         raise NotImplementedError
@@ -363,13 +372,9 @@ class Conv3x3(Layer):
         self.weight = Parameter(
             he_uniform_init((out_channels, in_channels, 3, 3), in_channels * 9, rng, dtype)
         )
-        self._cache = None
-
-    def params(self):
-        return [self.weight]
 
     def tensors(self):
-        return {"weight": self.weight.value}
+        return {"weight": self.weight}
 
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
@@ -398,9 +403,6 @@ class Conv3x3(Layer):
 
 class MaxPool2x2(Layer):
     """2x2 max pooling; backward routes to the first argmax in row-major window order."""
-
-    def __init__(self):
-        self._cache = None
 
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
@@ -476,20 +478,23 @@ class BatchNorm(Layer):
         self.num_features = num_features
         self.gamma = Parameter(np.ones(num_features, dtype=dtype))
         self.beta = Parameter(np.zeros(num_features, dtype=dtype))
-        self.running_mean = np.zeros(num_features, dtype=dtype)
-        self.running_var = np.ones(num_features, dtype=dtype)
-        self._cache = None
+        # not trained: their gradient stays zero, so an Adam step leaves them as they are
+        self._running = {"running_mean": Parameter(np.zeros(num_features, dtype=dtype)),
+                         "running_var": Parameter(np.ones(num_features, dtype=dtype))}
+
+    @property
+    def running_mean(self):
+        return self._running["running_mean"].value
+
+    @property
+    def running_var(self):
+        return self._running["running_var"].value
+
+    def tensors(self):
+        return {"gamma": self.gamma, "beta": self.beta, **self._running}
 
     def params(self):
         return [self.gamma, self.beta]
-
-    def tensors(self):
-        return {
-            "gamma": self.gamma.value,
-            "beta": self.beta.value,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
 
     def _axes_and_shape(self, x):
         if x.ndim == 4:
@@ -558,13 +563,9 @@ class Dense(Layer):
         self.out_features = out_features
         self.weight = Parameter(he_uniform_init((in_features, out_features), in_features, rng, dtype))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
-        self._cache = None
-
-    def params(self):
-        return [self.weight, self.bias]
 
     def tensors(self):
-        return {"weight": self.weight.value, "bias": self.bias.value}
+        return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
@@ -590,13 +591,9 @@ class Embedding(Layer):
         self.num_embeddings = num_embeddings
         self.dim = dim
         self.table = Parameter(he_uniform_init((num_embeddings, dim), dim, rng, dtype))
-        self._cache = None
-
-    def params(self):
-        return [self.table]
 
     def tensors(self):
-        return {"table": self.table.value}
+        return {"table": self.table}
 
     def forward(self, indices, mode=INFERENCE, rng=None):
         _check_mode(mode)
@@ -616,9 +613,6 @@ class Embedding(Layer):
 
 class ReLU(Layer):
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
         if mode == TRAINING:
@@ -630,9 +624,6 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-
-    def __init__(self):
-        self._cache = None
 
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
@@ -656,7 +647,6 @@ class Dropout(Layer):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self._cache = None
 
     def forward(self, x, mode=INFERENCE, rng=None):
         _check_mode(mode)
@@ -683,9 +673,6 @@ class Sequential(Layer):
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
-
     def forward(self, x, mode=INFERENCE, rng=None):
         for layer in self.layers:
             x = layer.forward(x, mode=mode, rng=rng)
@@ -696,30 +683,46 @@ class Sequential(Layer):
             grad_out = layer.backward(grad_out)
         return grad_out
 
+
+class Model:
+    """A network given as one list of (checkpoint name, layer) pairs, `layers`.
+
+    Every persistent tensor of a layer is named `<layer name>.<tensor name>`,
+    and all of them are packed into one `arena` in sorted-name order, the
+    order of the checkpoint payload: `arena.values` is the payload, and
+    `directory` (name -> {"shape", "offset"}, offsets counted in values) is
+    the checkpoint header's tensor directory.
+    """
+
+    def __init__(self, layers):
+        self.layers = list(layers)
+        tensors = {f"{prefix}.{name}": p for prefix, layer in self.layers
+                   for name, p in layer.tensors().items()}
+        self._tensors = dict(sorted(tensors.items()))
+        self.arena = Arena(self._tensors.values())
+        self.directory = {name: {"shape": list(p.shape), "offset": p._span.start}
+                          for name, p in self._tensors.items()}
+
+    def params(self):
+        """Every tensor's Parameter, in arena order."""
+        return list(self._tensors.values())
+
     def state_dict(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.tensors().items():
-                out[f"{i}.{name}"] = arr
-        return out
+        """Name -> value, a view into the arena, in arena order."""
+        return {name: p.value for name, p in self._tensors.items()}
 
 
-def load_state(state_holder, state):
-    """Copy a name -> array mapping into a live state_dict's arrays."""
-    live = state_holder.state_dict()
-    if set(live) != set(state):
-        missing = set(live) ^ set(state)
-        raise ValueError(f"state mismatch, differing keys: {sorted(missing)}")
-    for name, arr in state.items():
-        if live[name].shape != arr.shape:
-            raise ValueError(
-                f"shape mismatch for {name}: {live[name].shape} vs {arr.shape}"
-            )
-        live[name][...] = arr
+def snapshot_state(model):
+    """A copy of every persistent tensor of the model: its arena's values."""
+    return model.arena.values.copy()
 
 
-def snapshot_state(state_holder):
-    return {name: arr.copy() for name, arr in state_holder.state_dict().items()}
+def load_state(model, snapshot):
+    """Copy a `snapshot_state` copy back into the model's arena."""
+    values = model.arena.values
+    if snapshot.shape != values.shape:
+        raise ValueError(f"snapshot holds {snapshot.size} values, the model {values.size}")
+    values[...] = snapshot
 
 
 # ---------------------------------------------------------------------------

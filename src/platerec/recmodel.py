@@ -81,16 +81,15 @@ class RecTrainHistory:
     best_epoch: int
 
 
-class RecModel:
+class RecModel(nn.Model):
     """`layers` is the one list of (checkpoint name, layer) pairs, in forward
-    order: the user, restaurant and image branches, then the tail. Their
-    parameters live in `arena`, in that order."""
+    order: the user, restaurant and image branches, then the tail."""
 
     def __init__(self, config: RecConfig, rng, dtype=nn.DTYPE):
         d = config.embed_dim
         self.config = config
         self.dtype = dtype
-        self.layers = [
+        layers = [
             ("user_emb", nn.Embedding(config.n_users, d, rng, dtype)),
             ("rest_emb", nn.Embedding(config.n_restaurants, d, rng, dtype)),
             ("image_fc", nn.Dense(config.image_feature_dim, d, rng, dtype)),  # linear
@@ -99,29 +98,22 @@ class RecModel:
         ]
         width = 2 * d
         for i in range(config.n_reduce_blocks):
-            self.layers += [(f"block{i}.fc", nn.Dense(width, width // 2, rng, dtype)),
-                            (f"block{i}.dropout", nn.Dropout(config.dropout_p)),
-                            (f"block{i}.relu", nn.ReLU())]
+            layers += [(f"block{i}.fc", nn.Dense(width, width // 2, rng, dtype)),
+                       (f"block{i}.dropout", nn.Dropout(config.dropout_p)),
+                       (f"block{i}.relu", nn.ReLU())]
             width //= 2
-        self.layers += [("half_fc", nn.Dense(width, width // 2, rng, dtype)),
-                        ("half_relu", nn.ReLU()),
-                        ("out_fc", nn.Dense(width // 2, 1, rng, dtype)),
-                        ("out_sigmoid", nn.Sigmoid())]
-        self.branches = [layer for _, layer in self.layers[:3]]
-        self.tail = nn.Sequential(layer for _, layer in self.layers[3:])
-        self.arena = nn.Arena(self.params())
+        layers += [("half_fc", nn.Dense(width, width // 2, rng, dtype)),
+                   ("half_relu", nn.ReLU()),
+                   ("out_fc", nn.Dense(width // 2, 1, rng, dtype)),
+                   ("out_sigmoid", nn.Sigmoid())]
+        super().__init__(layers)
+        self.branches = [layer for _, layer in layers[:3]]
+        self.tail = nn.Sequential(layer for _, layer in layers[3:])
 
     def layer_widths(self):
         """The tail's input width, then the output width of each of its Dense layers."""
         fcs = [layer for layer in self.tail.layers if isinstance(layer, nn.Dense)]
         return [fcs[0].in_features] + [fc.out_features for fc in fcs]
-
-    def params(self):
-        return [p for _, layer in self.layers for p in layer.params()]
-
-    def state_dict(self):
-        return {f"{prefix}.{name}": arr for prefix, layer in self.layers
-                for name, arr in layer.tensors().items()}
 
     def forward(self, batch: TriadBatch, mode=nn.INFERENCE, rng=None):
         """Probability per triad; concatenation order is (user, restaurant, image)."""

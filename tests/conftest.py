@@ -1,3 +1,4 @@
+import numpy as np
 from hypothesis import strategies as st
 
 acceptance_verdicts = []
@@ -10,6 +11,13 @@ json_values = st.recursive(
                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
     max_leaves=5,
 )
+
+
+def named_views(model, flat):
+    """Name -> that tensor's view into `flat`, an array in the model's arena layout
+    (a snapshot, say), read through the model's tensor directory."""
+    return {name: flat[meta["offset"]:meta["offset"] + int(np.prod(meta["shape"]))]
+            .reshape(meta["shape"]) for name, meta in model.directory.items()}
 
 
 def pytest_terminal_summary(terminalreporter):

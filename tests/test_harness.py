@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tempfile
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import json_values
+from conftest import json_values, named_views
 from platerec import cli, harness, nn
-from platerec.cae import CaeConfig, build_cae
-from platerec.metrics import MetricsReport, format_report
+from platerec.cae import CaeConfig, build_cae, train_cae
+from platerec.metrics import ConfusionCounts, MetricsReport, format_report
 from platerec.data import (
     SynthConfig, generate_synthetic, load_feature_file, load_split, save_feature_file,
 )
@@ -125,7 +126,7 @@ class TestCheckpoint:
         original = build_recommender(cfg)
         harness.save_checkpoint(original, tmp_path / "rec.ckpt")
         loaded = harness.load_checkpoint(tmp_path / "rec.ckpt")
-        before = nn.snapshot_state(original)
+        before = named_views(original, nn.snapshot_state(original))
         train, val = probe_batch(cfg, 1), probe_batch(cfg, 2)
         for model in (original, loaded):
             train_recommender(model, train, val, cfg)
@@ -134,6 +135,102 @@ class TestCheckpoint:
         assert not np.array_equal(trained["expand_fc.weight"], before["expand_fc.weight"])
         for name, arr in loaded.state_dict().items():
             assert arr.tobytes() == trained[name].tobytes(), name
+
+
+# sha256 of the checkpoint files `_golden_models` writes; pins the header, the
+# tensor names, their order and the payload encoding
+GOLDEN_SHA256 = {
+    "cae": "274e47f50b9b697fc277bafbad16aa46332ed844fff2fa1461191a37891c062a",
+    "rec": "4c942c5cb350f81a6db5f30a74dfb4790dc4da1131fd4b52d3dbcc67e8f7fe7a",
+}
+
+
+def _golden_models():
+    """Small fixed-seed untrained models whose batch norms hold distinct known
+    running statistics. Nothing is trained, so no BLAS result enters the bytes."""
+    cae = build_cae(CaeConfig(input_height=8, input_width=8, seed=3))
+    rec = build_recommender(RecConfig(n_users=3, n_restaurants=2, image_feature_dim=5,
+                                      embed_dim=4, n_reduce_blocks=1, seed=3))
+    norms = [layer for model in (cae, rec) for _, layer in model.layers
+             if isinstance(layer, nn.BatchNorm)]
+    for i, bn in enumerate(norms):
+        k = np.arange(bn.num_features, dtype=np.float32)
+        bn.running_mean[...] = i + 0.25 * k - 1.0
+        bn.running_var[...] = i + 0.125 * k + 0.5
+    return {"cae": cae, "rec": rec}
+
+
+class TestCheckpointFormat:
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        for kind, model in _golden_models().items():
+            path, again = tmp_path / f"{kind}.ckpt", tmp_path / f"{kind}-again.ckpt"
+            harness.save_checkpoint(model, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[kind], kind
+            harness.save_checkpoint(harness.load_checkpoint(path), again)
+            assert again.read_bytes() == path.read_bytes(), kind
+
+    def test_payload_is_the_arena(self, tmp_path):
+        for kind, model in _golden_models().items():
+            path = tmp_path / f"{kind}.ckpt"
+            harness.save_checkpoint(model, path)
+            header, payload = _read_checkpoint(path)
+            assert header["tensors"] == model.directory
+            assert payload == model.arena.values.astype("<f4").tobytes(), kind
+
+    def test_adam_leaves_the_running_statistics_bit_unchanged(self):
+        models = _golden_models()
+        x = nn.make_rng(4, "adam-stats").random((2, 3, 8, 8)).astype(np.float32)
+        batch = probe_batch(models["rec"].config, 4)
+        outputs = {"cae": lambda: models["cae"].forward(x, mode=nn.TRAINING),
+                   "rec": lambda: models["rec"].forward(batch, mode=nn.TRAINING,
+                                                        rng=nn.make_rng(0, "drop"))}
+        for kind, model in models.items():
+            nn.zero_grads(model.arena)
+            model.backward(np.ones_like(outputs[kind]()))
+            stats = {name: arr for name, arr in model.state_dict().items()
+                     if name.endswith(("running_mean", "running_var"))}
+            for arr in stats.values():
+                arr[0] = -0.0
+            before = {name: arr.tobytes() for name, arr in stats.items()}
+            weights = model.arena.values.copy()
+            for _ in range(3):
+                nn.adam_step(model.arena, 0.01)
+            assert not np.array_equal(model.arena.values, weights), kind
+            for name, arr in stats.items():
+                assert arr.tobytes() == before[name], name
+
+
+class TestTrainingCaches:
+
+    def test_fit_releases_the_layer_caches(self):
+        rng = nn.make_rng(2, "cache-images")
+        images = [rng.random((8, 8, 3)).astype(np.float32) for _ in range(8)]
+        cae_cfg = CaeConfig(input_height=8, input_width=8, batch_size=4, max_epochs=2,
+                            patience=2, seed=2)
+        cae, _ = train_cae(build_cae(cae_cfg), images[:6], images[6:], cae_cfg)
+        rec_cfg = RecConfig(n_users=4, n_restaurants=3, image_feature_dim=6, embed_dim=8,
+                            batch_size=4, max_epochs=2, patience=2, seed=2)
+        rec, _ = train_recommender(build_recommender(rec_cfg), probe_batch(rec_cfg, 1),
+                                   probe_batch(rec_cfg, 2), rec_cfg)
+        for model in (cae, rec):
+            assert [name for name, layer in model.layers if layer._cache is not None] == []
+
+        # a further training step refills the caches it needs
+        x = np.ascontiguousarray(np.stack(images[:4]).transpose(0, 3, 1, 2))
+        batch = probe_batch(rec_cfg, 3)
+        steps = [(cae, lambda: nn.loss_eval(cae.forward(x, mode=nn.TRAINING), x, "bce")),
+                 (rec, lambda: nn.loss_eval(
+                     rec.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(0, "drop")),
+                     batch.labels.astype(np.float32), "bce"))]
+        for model, loss_eval in steps:
+            before = model.arena.values.copy()
+            _, grad = loss_eval()
+            nn.zero_grads(model.arena)
+            model.backward(grad)
+            nn.adam_step(model.arena, 1e-3)
+            assert np.all(np.isfinite(model.arena.values))
+            assert not np.array_equal(model.arena.values, before)
 
 
 def _read_checkpoint(path):
@@ -297,8 +394,8 @@ class TestPipeline:
 
     def test_report_round_trip_exact(self, synth_dirs):
         _, out_dir, _, report = synth_dirs
-        loaded = harness.load_report(out_dir / "report.json")
-        assert loaded.to_dict() == report.to_dict()
+        loaded = json.loads((out_dir / "report.json").read_text())
+        assert loaded == report.to_dict()
 
     def test_report_covers_partitions(self, synth_dirs):
         _, _, _, report = synth_dirs
@@ -367,10 +464,12 @@ class TestPipeline:
         # overflows to inf in the image projection, which batch norm turns into nan
         features[train_ref] = np.full_like(features[train_ref], np.finfo(np.float32).max)
         save_feature_file(features, tmp_path / "nan.txt")
-        with pytest.raises(harness.StageError) as err:
+        with pytest.raises(harness.StageError) as err, \
+                pytest.warns(RuntimeWarning, match="overflow|invalid value") as caught:
             harness.run_experiment(replace(config, out_dir=str(tmp_path / "nan"),
                                            feature_source="feature-file",
                                            feature_file=str(tmp_path / "nan.txt")))
+        assert any("overflow" in str(w.message) for w in caught)
         assert err.value.stage == "train-rec"
         assert "epoch 1: non-finite train loss" in str(err.value)
 
@@ -457,8 +556,8 @@ class TestCli:
 
     def test_evaluate_train_matches_report(self, cli_run, capsys):
         _, out = cli_run
-        train = MetricsReport.from_dict(
-            json.loads((out / "report.json").read_text())["metrics"]["train"])
+        train = json.loads((out / "report.json").read_text())["metrics"]["train"]
+        train = MetricsReport(**{**train, "counts": ConfusionCounts(**train["counts"])})
         # augmented rows are never scored: train metrics cover the original rows
         assert train.counts.total == len(load_split(out / "split.jsonl").rows_in("train"))
         capsys.readouterr()

@@ -57,11 +57,6 @@ class TestComputeMetrics:
         for v in (r.sensitivity, r.specificity, r.precision, r.f1, r.b_score):
             assert v is None or 0.0 <= v <= 1.0
 
-    def test_roundtrip_dict(self):
-        r = compute_metrics(ConfusionCounts(tp=3, tn=2, fp=1, fn=4))
-        from platerec.metrics import MetricsReport
-        assert MetricsReport.from_dict(r.to_dict()) == r
-
 
 class TestBScore:
 

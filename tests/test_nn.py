@@ -259,9 +259,9 @@ class TestBatchNorm:
         shape = (n, c, h, w) if spatial else (n, c)
         rng = rng64(seed, "bn-ref")
         live, ref = nn.BatchNorm(c), nn.BatchNorm(c)
-        for name, value in live.tensors().items():
-            value[...] = rng.uniform(0.5, 2.0, c) if name == "running_var" else rng.normal(size=c)
-            ref.tensors()[name][...] = value
+        for name, p in live.tensors().items():
+            p.value[...] = rng.uniform(0.5, 2.0, c) if name == "running_var" else rng.normal(size=c)
+            ref.tensors()[name].value[...] = p.value
         for _ in range(2):  # the second step starts from updated running statistics
             x = (rng.normal(size=shape) * scale + offset).astype(np.float32)
             grad_out = rng.normal(size=shape).astype(np.float32)
@@ -270,8 +270,8 @@ class TestBatchNorm:
             out_ref, grad_ref = _batchnorm_reference(ref, x, nn.TRAINING, grad_out)
             assert _same_bits(out, out_ref)
             assert _same_bits(grad_in, grad_ref)
-            for name, value in live.tensors().items():
-                assert _same_bits(value, ref.tensors()[name])
+            for name, p in live.tensors().items():
+                assert _same_bits(p.value, ref.tensors()[name].value)
             assert _same_bits(live.gamma.grad, ref.gamma.grad)
             assert _same_bits(live.beta.grad, ref.beta.grad)
             out_ref, _ = _batchnorm_reference(ref, x, nn.INFERENCE)

@@ -1,6 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import named_views
 from platerec import nn
 from platerec.recmodel import (
     RecConfig, TriadBatch, build_recommender, grid_search,
@@ -238,14 +242,17 @@ class TestArena:
             nn.adam_step(model.arena, lr)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_values_are_views_in_params_order(self, dtype):
+    def test_values_are_views_in_sorted_name_order(self, dtype):
         model = build_recommender(self.cfg(), dtype=dtype)
         arena = model.arena
         assert arena.values.dtype == dtype
+        names = list(model.state_dict())
+        assert names == sorted(names) and "concat_bn.running_var" in names
         start = 0
-        for p in model.params():
+        for name, p in zip(names, model.params(), strict=True):
             assert p.value.base is arena.values
             assert np.shares_memory(p.value, arena.values[start:start + p.value.size])
+            assert model.directory[name] == {"shape": list(p.shape), "offset": start}
             start += p.value.size
         assert start == arena.values.size
 
@@ -290,11 +297,11 @@ class TestArena:
         batch = make_batch(12, self.cfg(), 2)
         self.train_steps(model, batch, 2)
         snapshot = nn.snapshot_state(model)
-        frozen = {name: arr.copy() for name, arr in snapshot.items()}
-        assert not any(np.shares_memory(arr, model.arena.values) for arr in snapshot.values())
+        frozen = named_views(model, snapshot.copy())
+        assert not np.shares_memory(snapshot, model.arena.values)
 
         self.train_steps(model, batch, 3)
-        for name, arr in snapshot.items():
+        for name, arr in named_views(model, snapshot).items():
             assert np.array_equal(arr, frozen[name]), f"{name} followed the live model"
         live = model.state_dict()
         assert not np.array_equal(live["user_emb.table"], frozen["user_emb.table"])
@@ -306,6 +313,27 @@ class TestArena:
             assert arr.tobytes() == frozen[name].tobytes(), name
         for p in model.params():
             assert np.shares_memory(p.value, model.arena.values)
+
+    def test_snapshot_is_one_buffer(self):
+        model = build_recommender(replace(self.cfg(), embed_dim=64))
+        nn.snapshot_state(model)  # warm: the first call may set up lazily
+        tracemalloc.start()
+        try:
+            snapshot = nn.snapshot_state(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = model.arena.values.nbytes
+        assert snapshot.nbytes == nbytes
+        assert nbytes <= peak <= nbytes + 4096
+
+    def test_load_state_rejects_a_snapshot_of_the_wrong_size(self):
+        model = build_recommender(self.cfg())
+        snapshot = nn.snapshot_state(model)
+        for wrong in (snapshot[:-1], np.concatenate([snapshot, snapshot[:1]])):
+            with pytest.raises(ValueError, match="snapshot holds"):
+                nn.load_state(model, wrong)
+        assert np.array_equal(model.arena.values, snapshot)
 
 
 class TestGridSearch:
