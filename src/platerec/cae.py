@@ -88,6 +88,7 @@ def build_cae(config: CaeConfig, rng=None, dtype=nn.DTYPE) -> CaeModel:
         rng = nn.make_rng(config.seed, "cae-init")
     enc = []
     enc += _building_block(3, 64, rng, dtype)
+    enc[0].input_grad = False  # its input is the image, which takes no gradient
     enc.append(nn.MaxPool2x2())
     enc += _building_block(64, 32, rng, dtype)
     enc.append(nn.MaxPool2x2())

@@ -10,6 +10,7 @@ therefore every reported metric.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -94,40 +95,45 @@ def _model_from_header(kind, config, path):
 def load_checkpoint(path):
     """Read a checkpoint `save_checkpoint` wrote. Anything else raises CheckpointError
     naming the path: the tensor directory must be the one the writer lays out for
-    the model, and the payload must hold exactly its values."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: checkpoint header must be a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {header.get('format_version')}"
-        )
-    kind = header.get("kind")
-    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
-        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    model = _model_from_header(kind, header.get("config"), path)
+    the model, and the payload must hold exactly its values.
 
-    expected, values = model.directory, model.arena.values
-    directory = header.get("tensors")
-    if not isinstance(directory, dict) or set(directory) != set(expected):
-        raise CheckpointError(f"{path}: tensor directory does not match the model")
-    for name, meta in expected.items():
-        if directory[name] != meta:
+    The payload is read straight into the model's arena, with no intermediate
+    copy, and byte-swapped in place on a big-endian host.
+    """
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: checkpoint header must be a JSON object")
+        if header.get("format_version") != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"{path}: tensor {name}: file has {directory[name]!r}, "
-                f"the model needs {meta!r}"
+                f"{path}: unsupported checkpoint version {header.get('format_version')}"
             )
-    if len(payload) != 4 * values.size:
+        kind = header.get("kind")
+        if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+            raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+        model = _model_from_header(kind, header.get("config"), path)
+
+        expected, values = model.directory, model.arena.values
+        directory = header.get("tensors")
+        if not isinstance(directory, dict) or set(directory) != set(expected):
+            raise CheckpointError(f"{path}: tensor directory does not match the model")
+        for name, meta in expected.items():
+            if directory[name] != meta:
+                raise CheckpointError(
+                    f"{path}: tensor {name}: file has {directory[name]!r}, "
+                    f"the model needs {meta!r}"
+                )
+        # the read to EOF after a full arena returns b"" unless the payload is too long
+        size = fh.readinto(memoryview(values).cast("B")) + len(fh.read())
+    if size != values.nbytes:
         raise CheckpointError(
-            f"{path}: payload holds {len(payload)} bytes, the tensors need {4 * values.size}"
+            f"{path}: payload holds {size} bytes, the tensors need {values.nbytes}"
         )
-    values[...] = np.frombuffer(payload, dtype="<f4")
+    if sys.byteorder == "big":
+        values.byteswap(inplace=True)
     return model
 
 

@@ -69,12 +69,27 @@ def make_rng(seed: int, label: str | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+# Values per chunk of `he_uniform_init`'s float64 draws.
+INIT_CHUNK = 64 * 1024
+
+
 def he_uniform_init(shape, fan_in: int, rng: np.random.Generator, dtype=DTYPE):
-    """Uniform init on [-L, L] with L = sqrt(6 / fan_in)."""
+    """Uniform init on [-L, L] with L = sqrt(6 / fan_in).
+
+    The float64 draws are made and rounded to `dtype` INIT_CHUNK values at a
+    time, so no float64 array of the whole shape exists. Each draw takes the
+    generator's next value whatever the chunking, so the result is the bytes
+    of one whole draw cast to `dtype`.
+    """
     if fan_in < 1:
         raise ValueError(f"fan_in must be >= 1, got {fan_in}")
     limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, INIT_CHUNK):
+        chunk = flat[start:start + INIT_CHUNK]
+        chunk[...] = rng.uniform(-limit, limit, size=chunk.size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +284,10 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
         train_loss.append(loss)
         val_score.append(score)
         wall_time.append(time.perf_counter() - t0)
-        if not stopper.update(score, epoch, lambda: snapshot_state(model)):
+        # each improvement overwrites the one snapshot buffer: a second
+        # arena-sized copy would raise the peak memory by the arena's size
+        if not stopper.update(score, epoch,
+                              lambda: snapshot_state(model, out=stopper.best_snapshot)):
             break
     if stopper.best_snapshot is not None:
         load_state(model, stopper.best_snapshot)
@@ -364,7 +382,13 @@ class Conv3x3(Layer):
     whether the nine taps are stacked into one GEMM or accumulated: forward
     stacks them when 9 * in_channels <= out_channels, the input gradient (a
     conv from out_channels to in_channels) when 9 * out_channels <= in_channels.
+
+    A network's first conv, whose input is data and needs no gradient, has
+    `input_grad` set to False, and its backward computes the weight gradient
+    only and returns None.
     """
+
+    input_grad = True
 
     def __init__(self, in_channels, out_channels, rng, dtype=DTYPE):
         self.in_channels = in_channels
@@ -397,6 +421,8 @@ class Conv3x3(Layer):
         for t, tap in enumerate(_tap_slices(buf, h, w)):
             grad_tap = np.matmul(g, tap.transpose(0, 2, 1)).sum(axis=0)
             self.weight.grad[:, :, t // 3, t % 3] += grad_tap
+        if not self.input_grad:
+            return None
         flipped = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         return _conv_padded(gbuf, flipped, h, w)
 
@@ -567,12 +593,15 @@ class Dense(Layer):
     def tensors(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def forward(self, x, mode=INFERENCE, rng=None):
-        _check_mode(mode)
+    def check_input(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input of shape (N,{self.in_features}), got {x.shape}"
             )
+
+    def forward(self, x, mode=INFERENCE, rng=None):
+        _check_mode(mode)
+        self.check_input(x)
         if mode == TRAINING:
             self._cache = x
         return x @ self.weight.value + self.bias.value
@@ -712,9 +741,13 @@ class Model:
         return {name: p.value for name, p in self._tensors.items()}
 
 
-def snapshot_state(model):
-    """A copy of every persistent tensor of the model: its arena's values."""
-    return model.arena.values.copy()
+def snapshot_state(model, out=None):
+    """A copy of every persistent tensor of the model: its arena's values,
+    written into `out` (an earlier snapshot to overwrite) when given."""
+    if out is None:
+        return model.arena.values.copy()
+    np.copyto(out, model.arena.values)
+    return out
 
 
 def load_state(model, snapshot):

@@ -5,6 +5,29 @@ through a linear FC, all to the same embedding width. The concatenation is
 batch-normalized, expanded-reduced through FC layers and one or two reduce
 blocks (FC halving the width + dropout 0.5 + ReLU), and finished with a
 single sigmoid unit.
+
+Inference runs the network in a factorized form. Up to the first reduce
+block's ReLU the inference-mode network is affine: `concat_bn` is a
+per-channel scale `s = gamma / sqrt(running_var + EPS)` and shift
+`t = beta - running_mean * s`, `expand_fc` and `block0.fc` are linear, and
+`block0.dropout` is the identity. Splitting `expand_fc`'s rows by branch, the
+ReLU's input is
+
+    T_user[u] + T_rest[r] + feature @ W_img + c
+
+where `T_user` and `T_rest`, each branch's scaled and shifted embedding
+through its rows of `expand_fc` and through `block0.fc`, are computed for the
+batch's distinct ids only, and `c` is one row. Each branch's product is one
+`np.linalg.multi_dot` call, so the shapes choose the association: a batch of
+hundreds of candidates folds the image branch into one
+(image_feature_dim, embed_dim) matrix first, while a single row goes through
+row-first and skips that fold. The rest of the network runs layer by layer.
+The fold is recomputed on every call and nothing is cached, so it cannot go
+stale after `load_state`, an Adam step or a checkpoint load. It changes the
+float32 summation order and so moves probabilities by about 1e-6. Batch-norm
+folding follows Jacob et al., arXiv:1712.05877; per-entity terms follow
+Covington et al., "Deep Neural Networks for YouTube Recommendations" (RecSys
+2016). Training runs layer by layer.
 """
 
 from __future__ import annotations
@@ -116,15 +139,44 @@ class RecModel(nn.Model):
         return [fcs[0].in_features] + [fc.out_features for fc in fcs]
 
     def forward(self, batch: TriadBatch, mode=nn.INFERENCE, rng=None):
-        """Probability per triad; concatenation order is (user, restaurant, image)."""
+        """Probability per triad; concatenation order is (user, restaurant, image).
+
+        Inference takes the factorized path of the module docstring.
+        """
         if len(batch) == 0:
             raise ValueError("empty batch")
         if mode == nn.TRAINING and len(batch) < 2:
             raise ValueError("training mode needs batch size >= 2 for batch norm")
-        inputs = (batch.users, batch.restaurants, np.asarray(batch.features, dtype=self.dtype))
+        features = np.asarray(batch.features, dtype=self.dtype)
+        if mode == nn.INFERENCE:
+            x = self._first_preactivation(batch, features)
+            # the tail from block0.dropout on
+            return nn.Sequential(self.tail.layers[3:]).forward(x)[:, 0]
+        inputs = (batch.users, batch.restaurants, features)
         x = np.concatenate([branch.forward(inp, mode=mode)
                             for branch, inp in zip(self.branches, inputs)], axis=1)
         return self.tail.forward(x, mode=mode, rng=rng)[:, 0]
+
+    def _first_preactivation(self, batch, features):
+        """block0.fc's inference output, `T_user[u] + T_rest[r] + feature @ W_img + c`."""
+        user_emb, rest_emb, image_fc = self.branches
+        bn, expand_fc, block_fc = self.tail.layers[:3]
+        scale = bn.gamma.value / np.sqrt(bn.running_var + bn.EPS)
+        shift = bn.beta.value - bn.running_mean * scale
+        d, w_block = self.config.embed_dim, block_fc.weight.value
+        # (scale, shift, expand_fc rows) of each branch
+        user, rest, (s, t, w) = zip(scale.reshape(3, d), shift.reshape(3, d),
+                                    expand_fc.weight.value.reshape(3, d, 2 * d))
+        image_fc.check_input(features)
+        x = np.linalg.multi_dot([features, image_fc.weight.value * s, w, w_block])
+        c = (image_fc.bias.value * s + t) @ w + expand_fc.bias.value
+        x += c @ w_block + block_fc.bias.value
+        for emb, ids, (s, t, w) in ((user_emb, batch.users, user),
+                                    (rest_emb, batch.restaurants, rest)):
+            distinct, row = np.unique(ids, return_inverse=True)
+            # the Embedding's forward validates the ids
+            x += np.linalg.multi_dot([emb.forward(distinct) * s + t, w, w_block])[row]
+        return x
 
     def backward(self, grad_out):
         g = self.tail.backward(grad_out[:, None])

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -179,6 +180,36 @@ class TestTraining:
             digests.append(run.stdout.strip())
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
+
+
+class TestFirstConv:
+
+    def test_only_the_first_conv_skips_its_input_gradient(self):
+        model = build_cae(CaeConfig(input_height=8, input_width=8))
+        convs = [layer for seq in (model.encoder, model.decoder)
+                 for layer in seq.layers if isinstance(layer, nn.Conv3x3)]
+        assert [conv.input_grad for conv in convs] == [False] + [True] * 7
+        assert convs[0] is model.encoder.layers[0]
+
+    def test_first_conv_backward_gives_the_weight_gradient_only(self):
+        model = build_cae(CaeConfig(input_height=8, input_width=8))
+        x = nn.make_rng(1, "first-conv").random((2, 3, 8, 8)).astype(np.float32)
+        out = model.forward(x, mode=nn.TRAINING)
+        nn.zero_grads(model.arena)
+        assert model.backward(np.ones_like(out)) is None
+        assert np.any(model.encoder.layers[0].weight.grad != 0)
+
+    def test_two_epochs_give_the_weights_of_the_full_backward(self):
+        # sha256 of the weights after two epochs when every conv still computed
+        # its input gradient; this build's BLAS and numpy enter the bytes
+        cfg = CaeConfig(input_height=8, input_width=8, batch_size=4, max_epochs=2,
+                        patience=2, seed=6)
+        rng = nn.make_rng(6, "cae-digest-images")
+        images = [rng.random((8, 8, 3)).astype(np.float32) for _ in range(10)]
+        model, history = train_cae(build_cae(cfg), images[:8], images[8:], cfg)
+        assert len(history.train_loss) == 2
+        assert hashlib.sha256(model.arena.values.tobytes()).hexdigest() == (
+            "02ada46594ba75dae5e67b34742ba7b2c5154d113088f98d8ffe7e65446656a6")
 
 
 def test_batch_encode_matches_single():

@@ -120,6 +120,44 @@ class TestCheckpoint:
         # tracemalloc sees the heap; the arena's buffer is a mapping apart from it
         assert held + arena.values.nbytes <= 1.25 * arena.values.nbytes
 
+    def test_load_peaks_at_the_payload(self, tmp_path):
+        # the 52-user, embed-512 classifier: the payload goes straight into the
+        # arena, so only the initialization the load overwrites is ever on the heap
+        cfg = RecConfig(n_users=52, n_restaurants=15, embed_dim=512,
+                        image_feature_dim=CaeConfig().code_length)
+        path = tmp_path / "rec.ckpt"
+        harness.save_checkpoint(build_recommender(cfg), path)
+        payload = len(_read_checkpoint(path)[1])
+        tracemalloc.start()
+        try:
+            model = harness.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert payload == model.arena.values.nbytes > 9_000_000
+        assert peak <= payload + 1024 * 1024
+
+    @pytest.mark.parametrize("cut", [-4, 4])
+    def test_payload_of_the_wrong_length_names_both_sizes(self, tmp_path, cut):
+        path = tmp_path / "m.ckpt"
+        harness.save_checkpoint(tiny_rec_model(), path)
+        header, payload = _read_checkpoint(path)
+        _write_checkpoint(path, header, payload[:cut] if cut < 0 else payload + bytes(cut))
+        message = (f"{path}: payload holds {len(payload) + cut} bytes, "
+                   f"the tensors need {len(payload)}")
+        with pytest.raises(harness.CheckpointError, match=re.escape(message)):
+            harness.load_checkpoint(path)
+
+    def test_big_endian_host_swaps_the_payload_once(self, tmp_path, monkeypatch):
+        # on a big-endian host the bytes read into the arena are "<f4" in a ">f4"
+        # buffer; faking the byte order here swaps correct values once instead
+        path = tmp_path / "m.ckpt"
+        harness.save_checkpoint(tiny_rec_model(), path)
+        payload = _read_checkpoint(path)[1]
+        monkeypatch.setattr(harness.sys, "byteorder", "big")
+        values = harness.load_checkpoint(path).arena.values
+        assert values.tobytes() == np.frombuffer(payload, "<f4").byteswap().tobytes()
+
     def test_training_after_a_load_matches_the_original(self, tmp_path):
         cfg = RecConfig(n_users=4, n_restaurants=3, image_feature_dim=6, embed_dim=8,
                         batch_size=4, max_epochs=3, patience=3, seed=5)

@@ -35,6 +35,26 @@ class TestHeUniform:
         with pytest.raises(ValueError):
             nn.he_uniform_init((3,), 0, rng64(0))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_draws_are_the_whole_draw_cast(self, dtype):
+        shape = (301, 500)  # 2.3 chunks, the last one partial
+        got = nn.he_uniform_init(shape, 500, rng64(4), dtype)
+        limit = np.sqrt(6.0 / 500)
+        whole = rng64(4).uniform(-limit, limit, size=shape).astype(dtype)
+        assert got.dtype == dtype and got.shape == shape
+        assert got.tobytes() == whole.tobytes()
+
+    def test_no_float64_draw_of_the_whole_shape(self):
+        nn.he_uniform_init((4,), 4, rng64(0))  # warm
+        tracemalloc.start()
+        try:
+            out = nn.he_uniform_init((1024, 1024), 1024, rng64(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float32 result, one float64 chunk and change
+        assert peak <= out.nbytes + 8 * nn.INIT_CHUNK + 64 * 1024
+
 
 def test_derived_streams_differ():
     a = nn.make_rng(5, "a").random(8)

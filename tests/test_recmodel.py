@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import named_views
-from platerec import nn
+from platerec import harness, nn
 from platerec.recmodel import (
     RecConfig, TriadBatch, build_recommender, grid_search,
     predict, train_recommender,
@@ -327,6 +328,35 @@ class TestArena:
         assert snapshot.nbytes == nbytes
         assert nbytes <= peak <= nbytes + 4096
 
+    def test_snapshot_into_an_earlier_one_allocates_nothing(self):
+        model = build_recommender(replace(self.cfg(), embed_dim=64))
+        earlier = nn.snapshot_state(model)
+        self.train_steps(model, make_batch(12, self.cfg(), 2), 2)
+        tracemalloc.start()
+        try:
+            again = nn.snapshot_state(model, out=earlier)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again is earlier
+        assert again.tobytes() == model.arena.values.tobytes()
+        assert peak <= 4096
+
+    def test_fit_overwrites_one_snapshot_buffer(self, monkeypatch):
+        taken, snapshot = [], nn.snapshot_state
+
+        def recording(model, out=None):
+            taken.append(snapshot(model, out=out))
+            return taken[-1]
+
+        monkeypatch.setattr(nn, "snapshot_state", recording)
+        cfg = replace(self.cfg(), batch_size=16, max_epochs=8, patience=8, learning_rate=0.01)
+        model, history = train_recommender(build_recommender(cfg), separable_batch(120, cfg, 8),
+                                           separable_batch(40, cfg, 9), cfg)
+        assert len(taken) >= 2
+        assert all(buffer is taken[0] for buffer in taken)
+        assert history.val_b_score[history.best_epoch - 1] == max(history.val_b_score)
+
     def test_load_state_rejects_a_snapshot_of_the_wrong_size(self):
         model = build_recommender(self.cfg())
         snapshot = nn.snapshot_state(model)
@@ -334,6 +364,141 @@ class TestArena:
             with pytest.raises(ValueError, match="snapshot holds"):
                 nn.load_state(model, wrong)
         assert np.array_equal(model.arena.values, snapshot)
+
+
+def layer_by_layer(model, batch):
+    """The inference forward run one layer at a time, the form the factorized
+    inference path must reproduce."""
+    inputs = (batch.users, batch.restaurants, np.asarray(batch.features, dtype=model.dtype))
+    x = np.concatenate([branch.forward(inp) for branch, inp in zip(model.branches, inputs)],
+                       axis=1)
+    return model.tail.forward(x)[:, 0]
+
+
+def randomize_affine_state(model, seed):
+    """Non-trivial batch-norm statistics, scales and shifts, and non-zero Dense biases."""
+    rng = nn.make_rng(seed, "affine-state")
+    for _, layer in model.layers:
+        if isinstance(layer, nn.BatchNorm):
+            k = layer.num_features
+            layer.running_mean[...] = rng.normal(size=k)
+            layer.running_var[...] = rng.uniform(0.25, 4.0, size=k)
+            layer.gamma.value[...] = rng.uniform(0.5, 1.5, size=k)
+            layer.beta.value[...] = rng.normal(scale=0.2, size=k)
+        elif isinstance(layer, nn.Dense):
+            layer.bias.value[...] = rng.normal(scale=0.2, size=layer.out_features)
+
+
+class TestFactorizedInference:
+
+    def cfg(self, **kw):
+        base = dict(n_users=9, n_restaurants=6, image_feature_dim=12, embed_dim=32, seed=8)
+        base.update(kw)
+        return RecConfig(**base)
+
+    def model(self, cfg, dtype=np.float32):
+        model = build_recommender(cfg, dtype=dtype)
+        randomize_affine_state(model, cfg.seed)
+        return model
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    @pytest.mark.parametrize("n", [1, 8, 416])
+    @pytest.mark.parametrize("one_user", [False, True])
+    def test_matches_the_layer_by_layer_forward(self, dtype, tol, n_blocks, n, one_user):
+        cfg = self.cfg(n_reduce_blocks=n_blocks)
+        model = self.model(cfg, dtype)
+        batch = make_batch(n, cfg, n)
+        if one_user:
+            batch.users[:] = 3
+        probs = model.forward(batch)
+        assert probs.dtype == dtype and probs.shape == (n,)
+        assert np.abs(probs - layer_by_layer(model, batch)).max() <= tol
+
+    def test_rank_requests_keep_their_top_ten(self):
+        # the rank benchmark's shapes: 52 users, 15 restaurants, 416 candidates
+        # of 48-value image codes, embed 512, one user per request
+        cfg = RecConfig(n_users=52, n_restaurants=15, image_feature_dim=48, embed_dim=512,
+                        seed=3)
+        model = self.model(cfg)
+        rng = nn.make_rng(3, "rank-requests")
+        candidates = make_batch(416, cfg, 3)
+        for user in rng.integers(0, cfg.n_users, size=50):
+            candidates.users[:] = user
+            probs, reference = model.forward(candidates), layer_by_layer(model, candidates)
+            assert np.abs(probs - reference).max() <= 1e-5
+            assert np.array_equal(np.argsort(-probs, kind="stable")[:10],
+                                  np.argsort(-reference, kind="stable")[:10])
+
+    def test_follows_every_weight_update(self, tmp_path):
+        # nothing of the fold outlives a call: an Adam step, a restored snapshot
+        # and a loaded checkpoint each show at once
+        cfg = self.cfg()
+        model = self.model(cfg)
+        batch = make_batch(40, cfg, 1)
+        start = nn.snapshot_state(model)
+        before = model.forward(batch)
+
+        probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(0, "drop"))
+        nn.zero_grads(model.arena)
+        model.backward(nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")[1])
+        nn.adam_step(model.arena, 0.05)
+        stepped = model.forward(batch)
+        assert np.abs(stepped - before).max() > 1e-3
+        assert np.abs(stepped - layer_by_layer(model, batch)).max() <= 1e-5
+
+        harness.save_checkpoint(model, tmp_path / "stepped.ckpt")
+        nn.load_state(model, start)
+        assert np.array_equal(model.forward(batch), before)
+        assert np.abs(before - layer_by_layer(model, batch)).max() <= 1e-5
+
+        loaded = harness.load_checkpoint(tmp_path / "stepped.ckpt")
+        assert np.array_equal(loaded.forward(batch), stepped)
+        assert np.abs(stepped - layer_by_layer(loaded, batch)).max() <= 1e-5
+
+    @pytest.mark.parametrize("field", ["users", "restaurants"])
+    @pytest.mark.parametrize("bad", [-1, "size"])
+    @pytest.mark.parametrize("mode", [nn.INFERENCE, nn.TRAINING])
+    def test_out_of_range_id_rejected(self, field, bad, mode):
+        cfg = self.cfg()
+        batch = make_batch(6, cfg, 2)
+        size = cfg.n_users if field == "users" else cfg.n_restaurants
+        getattr(batch, field)[4] = size if bad == "size" else bad
+        with pytest.raises(ValueError, match=f"index out of range for table of size {size}"):
+            self.model(cfg).forward(batch, mode=mode, rng=nn.make_rng(0, "drop"))
+
+    def test_wrong_feature_width_rejected(self):
+        cfg = self.cfg()
+        batch = make_batch(6, cfg, 2)
+        batch.features = batch.features[:, :-1]
+        with pytest.raises(ValueError, match=r"expected input of shape \(N,12\)"):
+            self.model(cfg).forward(batch)
+
+
+# sha256 of one training step's gradient buffer, feature gradient and output,
+# taken with the layer-by-layer training code at fixed seeds; this build's
+# BLAS and numpy enter the bytes
+TRAINING_STEP_SHA256 = {
+    1: "b29f94ad0afd9dfddeb60c06f99db8b3201dc998bd3d4690a1e72ad123e42c80",
+    2: "34caaa2b4dd2831b62f062ba996d012ae13f9f500c7a75392f376e07b775524b",
+}
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_training_step_bytes_are_pinned(n_blocks):
+    cfg = RecConfig(n_users=7, n_restaurants=5, image_feature_dim=12, embed_dim=16,
+                    n_reduce_blocks=n_blocks, seed=11)
+    model = build_recommender(cfg)
+    rng = nn.make_rng(11, "fold-grad-batch")
+    batch = TriadBatch(users=rng.integers(0, 7, size=16), restaurants=rng.integers(0, 5, size=16),
+                       features=rng.normal(size=(16, 12)).astype(np.float32),
+                       labels=rng.integers(0, 2, size=16))
+    probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(11, "fold-grad-drop"))
+    _, grad = nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")
+    nn.zero_grads(model.arena)
+    feature_grad = model.backward(grad)
+    digest = hashlib.sha256(model.arena.grad.tobytes() + feature_grad.tobytes() + probs.tobytes())
+    assert digest.hexdigest() == TRAINING_STEP_SHA256[n_blocks]
 
 
 class TestGridSearch:
