@@ -66,14 +66,38 @@ def _building_block(cin, cout, rng, dtype):
 
 
 class CaeModel(nn.Model):
-    """Encoder and decoder; their layers are named `encoder.<i>` and `decoder.<i>`."""
+    """Encoder and decoder; their layers are named `encoder.<i>` and `decoder.<i>`.
 
-    def __init__(self, encoder: nn.Sequential, decoder: nn.Sequential, config: CaeConfig):
-        self.encoder = encoder
-        self.decoder = decoder
+    `rng` draws the weights; with None they start at zero, for a model that
+    a checkpoint fills.
+    """
+
+    def __init__(self, config: CaeConfig, rng, dtype=nn.DTYPE):
+        enc = []
+        enc += _building_block(3, 64, rng, dtype)
+        enc[0].input_grad = False  # its input is the image, which takes no gradient
+        enc.append(nn.MaxPool2x2())
+        enc += _building_block(64, 32, rng, dtype)
+        enc.append(nn.MaxPool2x2())
+        enc += _building_block(32, 16, rng, dtype)
+        enc += _building_block(16, 3, rng, dtype)
+        enc.append(nn.MaxPool2x2())
+
+        dec = []
+        dec += _building_block(3, 16, rng, dtype)
+        dec.append(nn.Upsample2x())
+        dec += _building_block(16, 32, rng, dtype)
+        dec.append(nn.Upsample2x())
+        dec += _building_block(32, 64, rng, dtype)
+        dec.append(nn.Upsample2x())
+        dec.append(nn.Conv3x3(64, 3, rng, dtype))
+        dec.append(nn.BatchNorm(3, dtype))
+        dec.append(nn.Sigmoid())
+        self.encoder = nn.Sequential(enc)
+        self.decoder = nn.Sequential(dec)
         self.config = config
         super().__init__([(f"{part}.{i}", layer)
-                          for part, seq in (("encoder", encoder), ("decoder", decoder))
+                          for part, seq in (("encoder", self.encoder), ("decoder", self.decoder))
                           for i, layer in enumerate(seq.layers)])
 
     def forward(self, x, mode=nn.INFERENCE):
@@ -86,27 +110,7 @@ class CaeModel(nn.Model):
 def build_cae(config: CaeConfig, rng=None, dtype=nn.DTYPE) -> CaeModel:
     if rng is None:
         rng = nn.make_rng(config.seed, "cae-init")
-    enc = []
-    enc += _building_block(3, 64, rng, dtype)
-    enc[0].input_grad = False  # its input is the image, which takes no gradient
-    enc.append(nn.MaxPool2x2())
-    enc += _building_block(64, 32, rng, dtype)
-    enc.append(nn.MaxPool2x2())
-    enc += _building_block(32, 16, rng, dtype)
-    enc += _building_block(16, 3, rng, dtype)
-    enc.append(nn.MaxPool2x2())
-
-    dec = []
-    dec += _building_block(3, 16, rng, dtype)
-    dec.append(nn.Upsample2x())
-    dec += _building_block(16, 32, rng, dtype)
-    dec.append(nn.Upsample2x())
-    dec += _building_block(32, 64, rng, dtype)
-    dec.append(nn.Upsample2x())
-    dec.append(nn.Conv3x3(64, 3, rng, dtype))
-    dec.append(nn.BatchNorm(3, dtype))
-    dec.append(nn.Sigmoid())
-    return CaeModel(nn.Sequential(enc), nn.Sequential(dec), config)
+    return CaeModel(config, rng, dtype)
 
 
 def _as_batch(images, config):

@@ -12,6 +12,7 @@ on disk as binary PPM (P6, maxval 255).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -407,12 +408,13 @@ def read_ppm(path):
     return (u8.astype(np.float32) / 255.0)
 
 
-def resize_image(image, height, width):
-    """Bilinear resize to height x width (pixel-center alignment)."""
-    if height < 1 or width < 1:
-        raise ValueError("target dimensions must be positive")
-    image = np.asarray(image, dtype=np.float32)
-    h, w = image.shape[:2]
+@functools.lru_cache(maxsize=64)
+def _resize_plan(h, w, height, width):
+    """The gather indices and float64 weights that resize h x w to height x width.
+
+    Cached per shape pair, so the arrays are shared between calls and made
+    read-only.
+    """
     ys = np.clip((np.arange(height) + 0.5) * h / height - 0.5, 0, h - 1)
     xs = np.clip((np.arange(width) + 0.5) * w / width - 0.5, 0, w - 1)
     y0 = np.floor(ys).astype(int)
@@ -421,11 +423,26 @@ def resize_image(image, height, width):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None, None]
     fx = (xs - x0)[None, :, None]
+    # row indices as a column, so image[y, x] gathers the (height, width) grid
+    plan = (y0[:, None], x0, y1[:, None], x1, fy, fx, 1 - fy, 1 - fx)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def resize_image(image, height, width):
+    """Bilinear resize to height x width (pixel-center alignment)."""
+    if height < 1 or width < 1:
+        raise ValueError("target dimensions must be positive")
+    image = np.asarray(image, dtype=np.float32)
+    h, w = image.shape[:2]
+    y0, x0, y1, x1, fy, fx, gy, gx = _resize_plan(h, w, height, width)
+    # gy = 1 - fy and gx = 1 - fx; the float64 expression and its order are fixed
     out = (
-        image[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + image[np.ix_(y0, x1)] * (1 - fy) * fx
-        + image[np.ix_(y1, x0)] * fy * (1 - fx)
-        + image[np.ix_(y1, x1)] * fy * fx
+        image[y0, x0] * gy * gx
+        + image[y0, x1] * gy * fx
+        + image[y1, x0] * fy * gx
+        + image[y1, x1] * fy * fx
     )
     return out.astype(np.float32)
 

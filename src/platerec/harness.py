@@ -61,9 +61,11 @@ def save_checkpoint(model, path):
         fh.write(model.arena.values.astype("<f4", copy=False))
 
 
+# the model classes, built with no generator: their weights start at zero and
+# the payload fills them, so a load draws no initialization
 _MODEL_KINDS = {
-    "cae": (cae_mod.CaeConfig, cae_mod.build_cae),
-    "rec": (rec_mod.RecConfig, rec_mod.build_recommender),
+    "cae": (cae_mod.CaeConfig, cae_mod.CaeModel),
+    "rec": (rec_mod.RecConfig, rec_mod.RecModel),
 }
 # JSON value types accepted for each config field annotation; bools are rejected
 _CONFIG_TYPES = {"int": int, "float": (int, float), "str": str}
@@ -72,7 +74,7 @@ _CONFIG_TYPES = {"int": int, "float": (int, float), "str": str}
 def _model_from_header(kind, config, path):
     """Build the model a checkpoint header describes: every config field present,
     of its annotated type, and accepted by the config and the layers."""
-    config_cls, build = _MODEL_KINDS[kind]
+    config_cls, model_cls = _MODEL_KINDS[kind]
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: checkpoint config must be a JSON object")
     annotations = {f.name: f.type for f in fields(config_cls)}
@@ -87,7 +89,7 @@ def _model_from_header(kind, config, path):
                 f"{path}: config field {name} must be of type {annotations[name]}, got {value!r}"
             )
     try:
-        return build(config_cls(**config))
+        return model_cls(config_cls(**config), None)
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid config: {exc}") from exc
 
@@ -97,8 +99,9 @@ def load_checkpoint(path):
     naming the path: the tensor directory must be the one the writer lays out for
     the model, and the payload must hold exactly its values.
 
-    The payload is read straight into the model's arena, with no intermediate
-    copy, and byte-swapped in place on a big-endian host.
+    The model is built with zero weights, and the payload is read straight
+    into its arena, with no intermediate copy, and byte-swapped in place on a
+    big-endian host.
     """
     with open(path, "rb") as fh:
         try:
@@ -134,6 +137,7 @@ def load_checkpoint(path):
         )
     if sys.byteorder == "big":
         values.byteswap(inplace=True)
+    model.arena.version += 1
     return model
 
 

@@ -31,7 +31,9 @@ as one loaded from a checkpoint to rank, holds its weights and running
 statistics and nothing else. With the arena, `zero_grads` is one fill,
 `adam_step` is one chunked pass over the arena, the global gradient norm is
 one dot product, and a snapshot, a restore, a checkpoint write and a
-checkpoint read are one copy each.
+checkpoint read are one copy each. `Arena.version` counts the library's
+writes to the values, so a model can cache what it derives from its weights
+and rebuild it only when they change.
 """
 
 from __future__ import annotations
@@ -92,13 +94,26 @@ def he_uniform_init(shape, fan_in: int, rng: np.random.Generator, dtype=DTYPE):
     return out
 
 
+def _initial_weight(shape, fan_in, rng, dtype):
+    """A layer's He-uniform weight, or zeros when `rng` is None: a model built
+    to be filled from a checkpoint draws nothing that the payload overwrites."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    return he_uniform_init(shape, fan_in, rng, dtype)
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
 
 class Parameter:
     """A persistent tensor. Once packed into an `Arena`, `value` and `grad` are
-    views into the arena's buffers; `grad` is allocated on first use."""
+    views into the arena's buffers; `grad` is allocated on first use.
+
+    A write through `value` is not seen by `Arena.version`: code that writes
+    a packed tensor in place, outside the library's writers, increments
+    `arena.version` itself, or a model's inference caches keep the old values.
+    """
 
     def __init__(self, value):
         self.value = np.asarray(value)
@@ -148,6 +163,14 @@ class Arena:
     built: it copies the values in and drops any gradient a parameter held
     on its own.
 
+    `version` counts the writes to `values`. Every library function that
+    writes them increments it: `adam_step`, `load_state`, the checkpoint
+    loader and the running-statistics update of a training-mode `BatchNorm`
+    forward. A model keys what it caches from its weights, such as the
+    classifier's inference fold, on it. Writes made through a
+    `Parameter.value` view are not tracked; whoever makes one increments
+    `version` too.
+
     Each buffer is an anonymous memory mapping of its own rather than a
     malloc heap block: it is large and lives as long as its model, and a
     mapping goes back to the system when the model is freed instead of
@@ -172,6 +195,7 @@ class Arena:
             start = span.stop
         self.grad = self.adam_m = self.adam_v = None
         self.step_count = 0
+        self.version = 0
 
     def require_grad(self):
         """The gradient buffer, allocated zeroed on first use."""
@@ -221,6 +245,7 @@ def adam_step(arena, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         arena.adam_m = _mapped_zeros(g.size, g.dtype)
         arena.adam_v = _mapped_zeros(g.size, g.dtype)
     arena.step_count += 1
+    arena.version += 1
     t = arena.step_count
     size = min(ADAM_CHUNK, g.size)
     scratch_a, scratch_b = np.empty(size, g.dtype), np.empty(size, g.dtype)
@@ -306,7 +331,11 @@ def _check_mode(mode):
 
 
 class Layer:
-    """Base class: forward caches what backward needs (training mode only)."""
+    """Base class: forward caches what backward needs (training mode only).
+
+    A layer with weights takes the generator that draws them; with `rng` None
+    its weights start at zero.
+    """
 
     _cache = None
 
@@ -394,7 +423,7 @@ class Conv3x3(Layer):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.weight = Parameter(
-            he_uniform_init((out_channels, in_channels, 3, 3), in_channels * 9, rng, dtype)
+            _initial_weight((out_channels, in_channels, 3, 3), in_channels * 9, rng, dtype)
         )
 
     def tensors(self):
@@ -551,6 +580,9 @@ class BatchNorm(Layer):
             self.running_var[...] = (
                 self.MOMENTUM * self.running_var + (1 - self.MOMENTUM) * var
             ).astype(self.running_var.dtype)
+            arena = self._running["running_var"].arena
+            if arena is not None:
+                arena.version += 1
             std = np.sqrt(var.reshape(bshape) + self.EPS)
             np.divide(xhat, std, out=xhat)
             self._cache = (xhat, std, axes, bshape)
@@ -587,7 +619,8 @@ class Dense(Layer):
     def __init__(self, in_features, out_features, rng, dtype=DTYPE):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(he_uniform_init((in_features, out_features), in_features, rng, dtype))
+        self.weight = Parameter(
+            _initial_weight((in_features, out_features), in_features, rng, dtype))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
 
     def tensors(self):
@@ -619,18 +652,24 @@ class Embedding(Layer):
     def __init__(self, num_embeddings, dim, rng, dtype=DTYPE):
         self.num_embeddings = num_embeddings
         self.dim = dim
-        self.table = Parameter(he_uniform_init((num_embeddings, dim), dim, rng, dtype))
+        self.table = Parameter(_initial_weight((num_embeddings, dim), dim, rng, dtype))
 
     def tensors(self):
         return {"table": self.table}
 
-    def forward(self, indices, mode=INFERENCE, rng=None):
-        _check_mode(mode)
+    def check_indices(self, indices):
+        """`indices` as an array, after checking every one is a row of the table:
+        numpy would wrap a negative index round silently."""
         indices = np.asarray(indices)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
             raise ValueError(
                 f"index out of range for table of size {self.num_embeddings}"
             )
+        return indices
+
+    def forward(self, indices, mode=INFERENCE, rng=None):
+        _check_mode(mode)
+        indices = self.check_indices(indices)
         if mode == TRAINING:
             self._cache = indices
         return self.table.value[indices]
@@ -756,6 +795,7 @@ def load_state(model, snapshot):
     if snapshot.shape != values.shape:
         raise ValueError(f"snapshot holds {snapshot.size} values, the model {values.size}")
     values[...] = snapshot
+    model.arena.version += 1
 
 
 # ---------------------------------------------------------------------------

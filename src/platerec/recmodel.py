@@ -13,21 +13,22 @@ per-channel scale `s = gamma / sqrt(running_var + EPS)` and shift
 `block0.dropout` is the identity. Splitting `expand_fc`'s rows by branch, the
 ReLU's input is
 
-    T_user[u] + T_rest[r] + feature @ W_img + c
+    feature @ W_img + c + T_user[u] + T_rest[r]
 
-where `T_user` and `T_rest`, each branch's scaled and shifted embedding
-through its rows of `expand_fc` and through `block0.fc`, are computed for the
-batch's distinct ids only, and `c` is one row. Each branch's product is one
-`np.linalg.multi_dot` call, so the shapes choose the association: a batch of
-hundreds of candidates folds the image branch into one
-(image_feature_dim, embed_dim) matrix first, while a single row goes through
-row-first and skips that fold. The rest of the network runs layer by layer.
-The fold is recomputed on every call and nothing is cached, so it cannot go
-stale after `load_state`, an Adam step or a checkpoint load. It changes the
-float32 summation order and so moves probabilities by about 1e-6. Batch-norm
-folding follows Jacob et al., arXiv:1712.05877; per-entity terms follow
-Covington et al., "Deep Neural Networks for YouTube Recommendations" (RecSys
-2016). Training runs layer by layer.
+where `W_img` is the image branch folded into one
+(image_feature_dim, embed_dim) matrix, `c` is one row, and `T_user` and
+`T_rest` hold each branch's scaled and shifted embedding through its rows of
+`expand_fc` and through `block0.fc`, for every row of its table. The model
+caches this fold and rebuilds it only when its arena's `version` has moved,
+which every library writer of the weights (`adam_step`, `load_state`,
+`load_checkpoint`, a training-mode batch norm) makes it do; a write through a
+`Parameter.value` view must increment the version itself. A request then
+costs one (rows, image_feature_dim) x (image_feature_dim, embed_dim) product
+and two gathers before the rest of the network runs layer by layer. The fold
+changes the float32 summation order and so moves probabilities by about
+1e-6. Batch-norm folding follows Jacob et al., arXiv:1712.05877; per-entity
+terms cached for serving follow Covington et al., "Deep Neural Networks for
+YouTube Recommendations" (RecSys 2016). Training runs layer by layer.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class RecConfig:
     def __post_init__(self):
         if self.n_users < 1 or self.n_restaurants < 1:
             raise ValueError("need at least one user and one restaurant")
+        if self.image_feature_dim < 1:
+            raise ValueError(f"image_feature_dim must be positive, got {self.image_feature_dim}")
         if self.embed_dim < 4 or self.embed_dim % 4:
             raise ValueError(
                 f"embed_dim must be a positive multiple of 4, got {self.embed_dim}"
@@ -92,8 +95,12 @@ class TriadBatch:
         return len(self.users)
 
     def take(self, idx):
-        return TriadBatch(self.users[idx], self.restaurants[idx],
-                          self.features[idx], self.labels[idx])
+        """The rows `idx`. Rows of a valid batch are valid, so the subset skips
+        `__post_init__`'s checks, which would scan its labels again."""
+        subset = object.__new__(TriadBatch)
+        subset.__dict__.update(users=self.users[idx], restaurants=self.restaurants[idx],
+                               features=self.features[idx], labels=self.labels[idx])
+        return subset
 
 
 @dataclass
@@ -106,7 +113,9 @@ class RecTrainHistory:
 
 class RecModel(nn.Model):
     """`layers` is the one list of (checkpoint name, layer) pairs, in forward
-    order: the user, restaurant and image branches, then the tail."""
+    order: the user, restaurant and image branches, then the tail. `rng`
+    draws the weights; with None they start at zero, for a model that a
+    checkpoint fills."""
 
     def __init__(self, config: RecConfig, rng, dtype=nn.DTYPE):
         d = config.embed_dim
@@ -132,6 +141,7 @@ class RecModel(nn.Model):
         super().__init__(layers)
         self.branches = [layer for _, layer in layers[:3]]
         self.tail = nn.Sequential(layer for _, layer in layers[3:])
+        self._fold = None  # (arena version, W_img, c, T_user, T_rest)
 
     def layer_widths(self):
         """The tail's input width, then the output width of each of its Dense layers."""
@@ -158,7 +168,23 @@ class RecModel(nn.Model):
         return self.tail.forward(x, mode=mode, rng=rng)[:, 0]
 
     def _first_preactivation(self, batch, features):
-        """block0.fc's inference output, `T_user[u] + T_rest[r] + feature @ W_img + c`."""
+        """block0.fc's inference output, `feature @ W_img + c + T_user[u] + T_rest[r]`."""
+        user_emb, rest_emb, image_fc = self.branches
+        # numpy wraps a negative index round, so the ids are checked before any gather
+        users = user_emb.check_indices(batch.users)
+        restaurants = rest_emb.check_indices(batch.restaurants)
+        image_fc.check_input(features)
+        if self._fold is None or self._fold[0] != self.arena.version:
+            self._fold = (self.arena.version, *self._build_fold())
+        _, w_img, c, t_user, t_rest = self._fold
+        x = features @ w_img
+        x += c
+        x += t_user[users]
+        x += t_rest[restaurants]
+        return x
+
+    def _build_fold(self):
+        """(W_img, c, T_user, T_rest) of the module docstring, from the current weights."""
         user_emb, rest_emb, image_fc = self.branches
         bn, expand_fc, block_fc = self.tail.layers[:3]
         scale = bn.gamma.value / np.sqrt(bn.running_var + bn.EPS)
@@ -167,16 +193,12 @@ class RecModel(nn.Model):
         # (scale, shift, expand_fc rows) of each branch
         user, rest, (s, t, w) = zip(scale.reshape(3, d), shift.reshape(3, d),
                                     expand_fc.weight.value.reshape(3, d, 2 * d))
-        image_fc.check_input(features)
-        x = np.linalg.multi_dot([features, image_fc.weight.value * s, w, w_block])
-        c = (image_fc.bias.value * s + t) @ w + expand_fc.bias.value
-        x += c @ w_block + block_fc.bias.value
-        for emb, ids, (s, t, w) in ((user_emb, batch.users, user),
-                                    (rest_emb, batch.restaurants, rest)):
-            distinct, row = np.unique(ids, return_inverse=True)
-            # the Embedding's forward validates the ids
-            x += np.linalg.multi_dot([emb.forward(distinct) * s + t, w, w_block])[row]
-        return x
+        w_img = np.linalg.multi_dot([image_fc.weight.value * s, w, w_block])
+        c = ((image_fc.bias.value * s + t) @ w + expand_fc.bias.value) @ w_block
+        c += block_fc.bias.value
+        t_user, t_rest = (np.linalg.multi_dot([emb.table.value * s + t, w, w_block])
+                          for emb, (s, t, w) in ((user_emb, user), (rest_emb, rest)))
+        return w_img, c, t_user, t_rest
 
     def backward(self, grad_out):
         g = self.tail.backward(grad_out[:, None])

@@ -420,7 +420,41 @@ class TestPpm:
         assert img.shape == (h, w, 3)
 
 
+def _resize_expression(image, height, width):
+    """The bilinear resize written out in one piece, computing every index and
+    weight array on the call: the bytes the cached form must reproduce."""
+    h, w = image.shape[:2]
+    ys = np.clip((np.arange(height) + 0.5) * h / height - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(width) + 0.5) * w / width - 0.5, 0, w - 1)
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    fy, fx = (ys - y0)[:, None, None], (xs - x0)[None, :, None]
+    out = (image[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
+           + image[np.ix_(y0, x1)] * (1 - fy) * fx
+           + image[np.ix_(y1, x0)] * fy * (1 - fx)
+           + image[np.ix_(y1, x1)] * fy * fx)
+    return out.astype(np.float32)
+
+
 class TestResize:
+
+    @pytest.mark.parametrize("src, dst", [((64, 64), (32, 32)), ((8, 8), (32, 32)),
+                                          ((20, 37), (32, 13)), ((5, 9), (11, 3)),
+                                          ((1, 1), (4, 6)), ((7, 3), (1, 1))])
+    def test_bytes_are_the_expression_s(self, src, dst):
+        img = np.random.default_rng(7).random((*src, 3)).astype(np.float32)
+        for _ in range(2):  # the second call reads the cached plan
+            assert resize_image(img, *dst).tobytes() == _resize_expression(img, *dst).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        img = np.zeros((12, 10, 3), dtype=np.float32)
+        resize_image(img, 6, 5)
+        plan = data._resize_plan(12, 10, 6, 5)
+        assert plan is data._resize_plan(12, 10, 6, 5)
+        for arr in plan:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
     def test_identity_at_same_size(self):
         img = np.random.default_rng(2).random((10, 10, 3)).astype(np.float32)

@@ -103,6 +103,20 @@ class TestCheckpoint:
         with pytest.raises(harness.CheckpointError):
             harness.save_checkpoint(object(), tmp_path / "x.ckpt")
 
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        models = {"cae": build_cae(CaeConfig(input_height=8, input_width=8, seed=2)),
+                  "rec": tiny_rec_model(seed=2)}
+        for kind, model in models.items():
+            harness.save_checkpoint(model, tmp_path / f"{kind}.ckpt")
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a load drew an initialization")
+
+        monkeypatch.setattr(nn, "he_uniform_init", draw)
+        for kind, model in models.items():
+            loaded = harness.load_checkpoint(tmp_path / f"{kind}.ckpt")
+            assert loaded.arena.values.tobytes() == model.arena.values.tobytes(), kind
+
     def test_inference_load_holds_only_the_weights(self, tmp_path):
         # the shape of a ranking classifier: 52 users, 15 restaurants, embed 512
         cfg = RecConfig(n_users=52, n_restaurants=15, embed_dim=512,

@@ -35,6 +35,12 @@ class TestHeUniform:
         with pytest.raises(ValueError):
             nn.he_uniform_init((3,), 0, rng64(0))
 
+    def test_no_generator_gives_zero_weights(self):
+        layers = [nn.Embedding(4, 2, None), nn.Dense(3, 2, None), nn.Conv3x3(2, 3, None)]
+        for layer in layers:
+            for p in layer.tensors().values():
+                assert not p.value.any()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunked_draws_are_the_whole_draw_cast(self, dtype):
         shape = (301, 500)  # 2.3 chunks, the last one partial
@@ -434,6 +440,16 @@ class TestEmbedding:
         emb = nn.Embedding(4, 2, rng64(0))
         with pytest.raises(ValueError):
             emb.forward(np.array([4]))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_check_indices_rejects_rows_outside_the_table(self, bad):
+        emb = nn.Embedding(4, 2, rng64(0))
+        with pytest.raises(ValueError, match="index out of range for table of size 4"):
+            emb.check_indices([0, bad, 3])
+
+    def test_check_indices_returns_the_ids_as_an_array(self):
+        ids = nn.Embedding(4, 2, rng64(0)).check_indices([3, 0, 3])
+        assert isinstance(ids, np.ndarray) and ids.tolist() == [3, 0, 3]
 
     def test_backward_hits_only_looked_up_row(self):
         emb = nn.Embedding(3, 2, rng64(0))

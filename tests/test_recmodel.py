@@ -48,6 +48,10 @@ class TestConfig:
             RecConfig(n_users=2, n_restaurants=2, image_feature_dim=4,
                       embed_dim=8, n_reduce_blocks=3)
 
+    def test_needs_image_features(self):
+        with pytest.raises(ValueError, match="image_feature_dim"):
+            RecConfig(n_users=2, n_restaurants=2, image_feature_dim=0)
+
     def test_needs_users(self):
         with pytest.raises(ValueError):
             RecConfig(n_users=0, n_restaurants=2, image_feature_dim=4, embed_dim=8)
@@ -473,6 +477,154 @@ class TestFactorizedInference:
         batch.features = batch.features[:, :-1]
         with pytest.raises(ValueError, match=r"expected input of shape \(N,12\)"):
             self.model(cfg).forward(batch)
+
+
+class TestTriadBatch:
+
+    def cfg(self):
+        return RecConfig(n_users=5, n_restaurants=4, image_feature_dim=3, embed_dim=8)
+
+    @pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1, 1], [0.5, 1, 0]])
+    def test_construction_rejects_bad_labels(self, labels):
+        batch = make_batch(3, self.cfg(), 0)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            TriadBatch(batch.users, batch.restaurants, batch.features, np.array(labels))
+
+    @pytest.mark.parametrize("field", ["users", "restaurants", "features", "labels"])
+    def test_construction_rejects_unequal_lengths(self, field):
+        fields = vars(make_batch(4, self.cfg(), 0))
+        fields[field] = fields[field][:3]
+        with pytest.raises(ValueError, match="equal length"):
+            TriadBatch(**fields)
+
+    def test_take_skips_the_checks_and_keeps_the_rows(self, monkeypatch):
+        batch = make_batch(10, self.cfg(), 1)
+        idx = np.array([7, 0, 7, 3])
+
+        def fail(self):
+            raise AssertionError("take re-ran __post_init__")
+
+        monkeypatch.setattr(TriadBatch, "__post_init__", fail)
+        subset = batch.take(idx)
+        assert type(subset) is TriadBatch and len(subset) == 4
+        for name in ("users", "restaurants", "features", "labels"):
+            assert np.array_equal(getattr(subset, name), getattr(batch, name)[idx])
+
+
+class TestFoldCache:
+    """The inference fold is cached on the model and rebuilt when the arena's
+    version moves; each case warms the cache first, then writes the weights."""
+
+    def cfg(self, **kw):
+        base = dict(n_users=9, n_restaurants=6, image_feature_dim=12, embed_dim=32,
+                    batch_size=16, max_epochs=4, patience=4, learning_rate=0.01, seed=5)
+        base.update(kw)
+        return RecConfig(**base)
+
+    def warm(self, cfg=None):
+        cfg = cfg or self.cfg()
+        model = build_recommender(cfg)
+        randomize_affine_state(model, cfg.seed)
+        batch = make_batch(40, cfg, 2)
+        return model, batch, model.forward(batch)
+
+    def assert_follows(self, model, batch, stale):
+        probs = model.forward(batch)
+        assert np.abs(probs - layer_by_layer(model, batch)).max() <= 1e-5
+        assert np.abs(probs - stale).max() > 1e-4  # the write moved the output
+
+    def adam_step_without_forward(self, model, seed):
+        grad = model.arena.require_grad()
+        grad[...] = nn.make_rng(seed, "fold-cache-grad").normal(size=grad.size)
+        nn.adam_step(model.arena, 0.05)
+
+    def test_adam_step(self):
+        model, batch, stale = self.warm()
+        self.adam_step_without_forward(model, 0)
+        self.assert_follows(model, batch, stale)
+
+    def test_load_state(self):
+        model, batch, _ = self.warm()
+        self.adam_step_without_forward(model, 1)
+        stepped = nn.snapshot_state(model)
+        self.adam_step_without_forward(model, 2)
+        stale = model.forward(batch)
+        nn.load_state(model, stepped)
+        self.assert_follows(model, batch, stale)
+
+    def test_load_checkpoint(self, tmp_path):
+        model, batch, stale = self.warm()
+        self.adam_step_without_forward(model, 3)
+        harness.save_checkpoint(model, tmp_path / "stepped.ckpt")
+        loaded = harness.load_checkpoint(tmp_path / "stepped.ckpt")
+        assert loaded.arena.version != 0  # the load counts as a write
+        self.assert_follows(loaded, batch, stale)
+        assert np.array_equal(loaded.forward(batch), model.forward(batch))
+
+    def test_training_forward_updates_the_running_statistics(self):
+        model, batch, stale = self.warm()
+        model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(0, "fold-cache-drop"))
+        self.assert_follows(model, batch, stale)
+
+    def test_fit(self):
+        cfg = self.cfg()
+        model, batch, stale = self.warm(cfg)
+        _, history = train_recommender(model, separable_batch(64, cfg, 3),
+                                       separable_batch(24, cfg, 4), cfg)
+        # the best epoch is not the last, so fit's restore writes the weights
+        # after the last validation forward built a fold
+        assert history.best_epoch < len(history.val_b_score)
+        self.assert_follows(model, batch, stale)
+
+    def test_a_view_write_counts_once_the_version_moves(self):
+        model, batch, stale = self.warm()
+        dict(model.layers)["user_emb"].table.value[...] *= -1.0
+        model.arena.version += 1
+        self.assert_follows(model, batch, stale)
+
+    def test_forwards_without_a_write_reuse_one_fold(self, monkeypatch):
+        calls, multi_dot = [], np.linalg.multi_dot
+
+        def counting(arrays, **kw):
+            calls.append(len(arrays))
+            return multi_dot(arrays, **kw)
+
+        monkeypatch.setattr(np.linalg, "multi_dot", counting)
+        cfg = self.cfg()
+        model = build_recommender(cfg)
+        batch = make_batch(40, cfg, 2)
+        first = model.forward(batch)
+        built = len(calls)
+        assert built == 3  # W_img, T_user and T_rest
+        assert np.array_equal(model.forward(batch), first)
+        predict(model, 1, 2, batch.features[0])
+        model.forward(batch.take(np.arange(5)))
+        assert len(calls) == built
+        self.adam_step_without_forward(model, 4)
+        model.forward(batch)
+        assert len(calls) == 2 * built
+
+    def test_predict_reads_the_batch_fold(self):
+        model, batch, probs = self.warm()
+        for j in (0, 17, 39):
+            prob, _ = predict(model, int(batch.users[j]), int(batch.restaurants[j]),
+                              batch.features[j])
+            assert abs(prob - probs[j]) <= 1e-6
+
+    def test_the_fold_holds_nothing_arena_sized(self):
+        # the rank benchmark's shapes: a 9 MB arena, a fold of (48 + 1 + 52 + 15) rows
+        cfg = RecConfig(n_users=52, n_restaurants=15, image_feature_dim=48, embed_dim=512)
+        model = build_recommender(cfg)
+        batch = make_batch(416, cfg, 6)
+        tracemalloc.start()
+        try:
+            model.forward(batch)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fold_bytes = (48 + 1 + 52 + 15) * 512 * 4
+        assert model.arena.values.nbytes > 9_000_000
+        assert fold_bytes <= held <= fold_bytes + 64 * 1024
 
 
 # sha256 of one training step's gradient buffer, feature gradient and output,
