@@ -2,9 +2,17 @@
 
 Encoder: three 2x downsamplings over building blocks (conv 3x3 + batch norm
 + ReLU) with channel widths 64, 32, 16, 3; the 3-channel bottleneck feature
-maps, flattened, are the image encoding. Decoder mirrors the encoder with
-nearest-neighbor upsampling and ends in a sigmoid so reconstructions stay
-in (0, 1).
+maps, flattened, are the image encoding. A block that downsamples pools
+before its ReLU, on a quarter of the values: max commutes with ReLU, and
+the gradients differ only in windows whose maximum is at most 0, where both
+orders give 0. Decoder mirrors the encoder with nearest-neighbor upsampling
+and ends in a sigmoid so reconstructions stay in (0, 1).
+
+Inference folds every conv -> batch norm pair (`nn.Model.fold`). A block
+that pools takes the max on the conv's uncropped (N, O, H, W+2) grid, as
+max commutes with the per-channel shift, then adds the shift and applies
+the ReLU in place on the pooled array; other blocks add the shift while
+cropping the grid.
 """
 
 from __future__ import annotations
@@ -61,8 +69,9 @@ class TrainHistory:
     best_epoch: int
 
 
-def _building_block(cin, cout, rng, dtype):
-    return [nn.Conv3x3(cin, cout, rng, dtype), nn.BatchNorm(cout, dtype), nn.ReLU()]
+def _building_block(cin, cout, rng, dtype, pool=False):
+    layers = [nn.Conv3x3(cin, cout, rng, dtype), nn.BatchNorm(cout, dtype)]
+    return layers + ([nn.MaxPool2x2(), nn.ReLU()] if pool else [nn.ReLU()])
 
 
 class CaeModel(nn.Model):
@@ -73,26 +82,13 @@ class CaeModel(nn.Model):
     """
 
     def __init__(self, config: CaeConfig, rng, dtype=nn.DTYPE):
-        enc = []
-        enc += _building_block(3, 64, rng, dtype)
+        enc, dec = [], []
+        for cin, cout, pool in ((3, 64, True), (64, 32, True), (32, 16, False), (16, 3, True)):
+            enc += _building_block(cin, cout, rng, dtype, pool)
         enc[0].input_grad = False  # its input is the image, which takes no gradient
-        enc.append(nn.MaxPool2x2())
-        enc += _building_block(64, 32, rng, dtype)
-        enc.append(nn.MaxPool2x2())
-        enc += _building_block(32, 16, rng, dtype)
-        enc += _building_block(16, 3, rng, dtype)
-        enc.append(nn.MaxPool2x2())
-
-        dec = []
-        dec += _building_block(3, 16, rng, dtype)
-        dec.append(nn.Upsample2x())
-        dec += _building_block(16, 32, rng, dtype)
-        dec.append(nn.Upsample2x())
-        dec += _building_block(32, 64, rng, dtype)
-        dec.append(nn.Upsample2x())
-        dec.append(nn.Conv3x3(64, 3, rng, dtype))
-        dec.append(nn.BatchNorm(3, dtype))
-        dec.append(nn.Sigmoid())
+        for cin, cout in ((3, 16), (16, 32), (32, 64)):
+            dec += _building_block(cin, cout, rng, dtype) + [nn.Upsample2x()]
+        dec += [nn.Conv3x3(64, 3, rng, dtype), nn.BatchNorm(3, dtype), nn.Sigmoid()]
         self.encoder = nn.Sequential(enc)
         self.decoder = nn.Sequential(dec)
         self.config = config
@@ -101,7 +97,42 @@ class CaeModel(nn.Model):
                           for i, layer in enumerate(seq.layers)])
 
     def forward(self, x, mode=nn.INFERENCE):
+        if mode == nn.INFERENCE:
+            return self._infer(self.decoder, self.encode(x))
         return self.decoder.forward(self.encoder.forward(x, mode=mode), mode=mode)
+
+    def encode(self, x):
+        """The inference bottleneck of an NCHW batch."""
+        return self._infer(self.encoder, x)
+
+    def _infer(self, seq, x):
+        """`seq`'s inference forward, each conv -> batch norm pair folded."""
+        fold, layers = self.fold(), seq.layers
+        for i, layer in enumerate(layers):
+            if isinstance(layer, nn.Conv3x3):
+                weight, shift = fold[layer]
+                w, grid = x.shape[3], layer.grid(x, weight)
+                if isinstance(layers[i + 2], nn.MaxPool2x2):  # after the batch norm
+                    x = nn.pool_grid(grid, w)
+                    x += shift
+                else:
+                    x = np.add(grid[:, :, :, :w], shift)
+            elif isinstance(layer, nn.ReLU):
+                np.maximum(x, 0, out=x)  # x is the array the conv step made
+            elif not isinstance(layer, (nn.BatchNorm, nn.MaxPool2x2)):  # done by the conv step
+                x = layer.forward(x)
+        return x
+
+    def _build_fold(self):
+        """conv -> (its weight scaled by s, the shift t) of each conv -> batch norm pair."""
+        layers = [layer for _, layer in self.layers]
+        fold = {}
+        for conv, bn in zip(layers, layers[1:]):
+            if isinstance(conv, nn.Conv3x3):
+                scale, shift = bn.scale_shift()
+                fold[conv] = (conv.weight.value * scale[:, None, None, None],
+                              shift[:, None, None])
+        return fold
 
     def backward(self, grad_out):
         return self.encoder.backward(self.decoder.backward(grad_out))
@@ -147,24 +178,16 @@ def train_cae(model: CaeModel, train_images, val_images, config: CaeConfig):
 
 
 def evaluate_loss(model: CaeModel, x_nchw, config: CaeConfig, batch_size=64):
-    losses, weights = [], []
-    for start in range(0, x_nchw.shape[0], batch_size):
-        batch = x_nchw[start:start + batch_size]
-        out = model.forward(batch, mode=nn.INFERENCE)
-        loss, _ = nn.loss_eval(out, batch, config.loss_kind)
-        losses.append(loss)
-        weights.append(batch.shape[0])
-    return float(np.average(losses, weights=weights))
+    batches = [x_nchw[start:start + batch_size] for start in range(0, len(x_nchw), batch_size)]
+    losses = [nn.loss_eval(model.forward(batch), batch, config.loss_kind)[0] for batch in batches]
+    return float(np.average(losses, weights=[len(batch) for batch in batches]))
 
 
 def encode_images(model: CaeModel, images, batch_size=64):
     """Flattened bottleneck codes (inference mode), one row per image."""
     x = _as_batch(images, model.config)
-    codes = []
-    for start in range(0, x.shape[0], batch_size):
-        code = model.encoder.forward(x[start:start + batch_size], mode=nn.INFERENCE)
-        codes.append(code.reshape(code.shape[0], -1))
-    return np.concatenate(codes, axis=0)
+    codes = [model.encode(x[start:start + batch_size]) for start in range(0, len(x), batch_size)]
+    return np.concatenate([code.reshape(len(code), -1) for code in codes])
 
 
 def encode_image(model: CaeModel, image):

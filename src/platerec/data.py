@@ -212,44 +212,25 @@ def _split_reviews(reviews, seed):
     return {r.review_id for r in train}, {r.review_id for r in held}
 
 
-def _review_partition(reviews, seed):
-    """review_id -> "train" or "test" under the three rules."""
+def three_way_split(reviews, seed) -> SplitAssignment:
+    """Train/test split of a review manifest under the three rules, then the
+    train reviews re-split with the same procedure into train/validation.
+    One row per review image, in manifest order, in its review's partition."""
     if not reviews:
         raise ValueError("cannot split an empty manifest")
     train_ids, test_ids = _split_reviews(reviews, seed)
     part = dict.fromkeys(train_ids, "train")
     part.update(dict.fromkeys(test_ids, "test"))
-    return part
-
-
-def _assignment(reviews, partition_of_review):
-    """One row per review image, in manifest order, in its review's partition."""
-    rows = []
-    for rec in reviews:
-        part = partition_of_review[rec.review_id]
-        label = label_from_stars(rec.stars)
-        for img in rec.image_paths:
-            rows.append(SplitRow(img, rec.user_id, rec.restaurant_id, label, "original", part))
-    return SplitAssignment(
-        rows=rows,
-        user_index=_index_map(r.user_id for r in reviews),
-        restaurant_index=_index_map(r.restaurant_id for r in reviews),
-    )
-
-
-def split_dataset(reviews, seed) -> SplitAssignment:
-    """Two-way train/test split of a review manifest."""
-    return _assignment(reviews, _review_partition(reviews, seed))
-
-
-def three_way_split(reviews, seed) -> SplitAssignment:
-    """Train/test split, then the train reviews re-split with the same
-    procedure into train/validation."""
-    part = _review_partition(reviews, seed)
     train_reviews = [r for r in reviews if part[r.review_id] == "train"]
     _, val_ids = _split_reviews(train_reviews, derive_seed(seed, "train-val"))
     part.update(dict.fromkeys(val_ids, "validation"))
-    return _assignment(reviews, part)
+    return SplitAssignment(
+        rows=[SplitRow(img, rec.user_id, rec.restaurant_id, label_from_stars(rec.stars),
+                       "original", part[rec.review_id])
+              for rec in reviews for img in rec.image_paths],
+        user_index=_index_map(r.user_id for r in reviews),
+        restaurant_index=_index_map(r.restaurant_id for r in reviews),
+    )
 
 
 def save_split(split: SplitAssignment, path):

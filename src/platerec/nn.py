@@ -10,30 +10,9 @@ early-stopped mini-batch training loop both networks use.
 Everything is a plain numpy array in float32; a float64 mode exists only
 for finite-difference gradient checking.
 
-The convolution never builds an im2col matrix. Its input is zero-padded
-once into a padded-flat buffer of shape (N, C, (H+2)*(W+2) + 2), in which
-tap (di, dj) of every 3x3 window is the contiguous slice at offset
-di*(W+2) + dj, and the output lives on an H x (W+2) grid whose two slack
-columns are cropped at the end ("kn2row", Vasudevan, Anderson & Gregg,
-arXiv:1704.04428). The channel counts alone pick how the nine taps meet
-the kernel: when 9 * C_in <= C_out the slices are stacked into one GEMM,
-otherwise nine per-tap GEMMs accumulate. Max pooling takes the maximum of
-the four strided views of its input.
-
-Each `Model` packs its persistent tensors, parameters and batch-norm running
-statistics alike, into one `Arena` (the flat parameter and gradient buffers
-of ZeRO, Rajbhandari et al., arXiv:1910.02054): every tensor is a view into
-one contiguous buffer, laid out in sorted-name order, which is the order of
-the checkpoint payload, and every gradient a view into a second buffer of
-the same layout. The gradient buffer and Adam's two moment buffers are
-allocated on first training use, so a model that is only run forward, such
-as one loaded from a checkpoint to rank, holds its weights and running
-statistics and nothing else. With the arena, `zero_grads` is one fill,
-`adam_step` is one chunked pass over the arena, the global gradient norm is
-one dot product, and a snapshot, a restore, a checkpoint write and a
-checkpoint read are one copy each. `Arena.version` counts the library's
-writes to the values, so a model can cache what it derives from its weights
-and rebuild it only when they change.
+`Conv3x3` explains the convolution's padded-flat layout, `Arena` the one
+flat buffer that holds a model's tensors, and `Model.fold` the cached
+batch-norm fold that inference runs through.
 """
 
 from __future__ import annotations
@@ -78,10 +57,9 @@ INIT_CHUNK = 64 * 1024
 def he_uniform_init(shape, fan_in: int, rng: np.random.Generator, dtype=DTYPE):
     """Uniform init on [-L, L] with L = sqrt(6 / fan_in).
 
-    The float64 draws are made and rounded to `dtype` INIT_CHUNK values at a
-    time, so no float64 array of the whole shape exists. Each draw takes the
-    generator's next value whatever the chunking, so the result is the bytes
-    of one whole draw cast to `dtype`.
+    The float64 draws are rounded to `dtype` INIT_CHUNK values at a time;
+    the generator's stream does not depend on the chunking, so the result
+    is the bytes of one whole draw cast to `dtype`.
     """
     if fan_in < 1:
         raise ValueError(f"fan_in must be >= 1, got {fan_in}")
@@ -110,9 +88,7 @@ class Parameter:
     """A persistent tensor. Once packed into an `Arena`, `value` and `grad` are
     views into the arena's buffers; `grad` is allocated on first use.
 
-    A write through `value` is not seen by `Arena.version`: code that writes
-    a packed tensor in place, outside the library's writers, increments
-    `arena.version` itself, or a model's inference caches keep the old values.
+    A write through `value` is not seen by `Arena.version` (see `Model.fold`).
     """
 
     def __init__(self, value):
@@ -152,7 +128,11 @@ ADAM_CHUNK = 64 * 1024
 
 
 class Arena:
-    """One model's tensors laid end to end in one contiguous buffer.
+    """One model's tensors laid end to end in one contiguous buffer (the flat
+    parameter and gradient buffers of ZeRO, Rajbhandari et al.,
+    arXiv:1910.02054), so `zero_grads` is one fill, `adam_step` one chunked
+    pass, the global gradient norm one dot product, and a snapshot, a
+    restore, a checkpoint write and a checkpoint read one copy each.
 
     `values` holds every parameter, in the order given (a `Model` gives its
     sorted-name order), in their one dtype, and each `Parameter.value`
@@ -163,21 +143,13 @@ class Arena:
     built: it copies the values in and drops any gradient a parameter held
     on its own.
 
-    `version` counts the writes to `values`. Every library function that
-    writes them increments it: `adam_step`, `load_state`, the checkpoint
-    loader and the running-statistics update of a training-mode `BatchNorm`
-    forward. A model keys what it caches from its weights, such as the
-    classifier's inference fold, on it. Writes made through a
-    `Parameter.value` view are not tracked; whoever makes one increments
-    `version` too.
+    `version` counts the library's writes to `values`; `Model.fold` names
+    the writers and keys its cache on it.
 
-    Each buffer is an anonymous memory mapping of its own rather than a
-    malloc heap block: it is large and lives as long as its model, and a
-    mapping goes back to the system when the model is freed instead of
-    leaving a hole in the heap. Loading a classifier while the previous one
-    is alive, as the `rank` benchmark workload does, peaked at 132-140 MB RSS
-    with heap buffers and at 124 MB with mappings (2-core Xeon, one BLAS
-    thread).
+    Each buffer is an anonymous memory mapping of its own, which goes back
+    to the system when the model is freed instead of leaving a hole in the
+    heap: loading a classifier while the previous one is alive peaked at
+    132-140 MB RSS with heap buffers and at 124 MB with mappings.
     """
 
     def __init__(self, params):
@@ -376,12 +348,13 @@ def _tap_slices(buf, h, w):
 
 
 def _conv_padded(buf, weight, h, w):
-    """Same-padding 3x3 cross-correlation of a padded-flat buffer -> contiguous (N, O, H, W).
+    """Same-padding 3x3 cross-correlation of a padded-flat buffer -> contiguous (N, O, H, W+2).
 
     Output pixels live on an H x (W+2) grid whose last two columns are slack
-    and cropped. With few input channels (9*C <= O) the nine tap slices are
-    stacked into one (N, 9C, H*(W+2)) operand for a single GEMM; otherwise the
-    nine per-tap GEMMs accumulate into one output without any gather copy.
+    for the caller to crop. With few input channels (9*C <= O) the nine tap
+    slices are stacked into one (N, 9C, H*(W+2)) operand for a single GEMM;
+    otherwise the nine per-tap GEMMs accumulate into one output without any
+    gather copy.
     """
     o, c = weight.shape[:2]
     taps = _tap_slices(buf, h, w)
@@ -394,8 +367,22 @@ def _conv_padded(buf, weight, h, w):
         tmp = np.empty_like(out)
         for wt, tap in zip(wtaps[1:], taps[1:]):
             out += np.matmul(wt, tap, out=tmp)
-    n = buf.shape[0]
-    return np.ascontiguousarray(out.reshape(n, o, h, w + 2)[:, :, :, :w])
+    return out.reshape(buf.shape[0], o, h, w + 2)
+
+
+def _crop(grid, w):
+    """A contiguous copy of the first `w` columns of an H x (W+2) output grid."""
+    return np.ascontiguousarray(grid[:, :, :, :w])
+
+
+def pool_grid(grid, w):
+    """2x2 max pool of the first `w` columns of a contiguous (N, C, H, W+2) conv
+    output grid. Each pair of grid rows is one contiguous run, so the row
+    maxima come from its two halves and the column maxima from half the data."""
+    n, c, h, wp = grid.shape
+    pairs = grid.reshape(n, c, h // 2, 2 * wp)
+    rows = np.maximum(pairs[..., :w], pairs[..., wp:wp + w])
+    return np.maximum(rows[..., 0::2], rows[..., 1::2])
 
 
 class Conv3x3(Layer):
@@ -403,7 +390,9 @@ class Conv3x3(Layer):
 
     The input is padded once into a padded-flat buffer (see `_pad_flat`) in
     which each of the nine taps is a contiguous slice, so forward is a sum of
-    per-tap GEMMs on strided views and no im2col matrix is built. The weight
+    per-tap GEMMs on strided views and no im2col matrix is built ("kn2row",
+    Vasudevan, Anderson & Gregg, arXiv:1704.04428). The output lives on an
+    H x (W+2) grid whose two slack columns `forward` crops. The weight
     gradient reuses the same slices against grad_out on the same H x (W+2)
     grid, whose zero slack columns add nothing. The input gradient is the
     forward routine applied to grad_out with the kernel flipped in space and
@@ -429,7 +418,10 @@ class Conv3x3(Layer):
     def tensors(self):
         return {"weight": self.weight}
 
-    def forward(self, x, mode=INFERENCE, rng=None):
+    def grid(self, x, weight, mode=INFERENCE):
+        """The conv of `x` with `weight`, this layer's or a folded one of its
+        shape, left on the uncropped (N, O, H, W+2) grid; training mode
+        caches the padded input for backward."""
         _check_mode(mode)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
@@ -439,7 +431,10 @@ class Conv3x3(Layer):
         buf = _pad_flat(x)
         if mode == TRAINING:
             self._cache = (buf, h, w)
-        return _conv_padded(buf, self.weight.value, h, w)
+        return _conv_padded(buf, weight, h, w)
+
+    def forward(self, x, mode=INFERENCE, rng=None):
+        return _crop(self.grid(x, self.weight.value, mode), x.shape[3])
 
     def backward(self, grad_out):
         buf, h, w = self._cache
@@ -453,7 +448,7 @@ class Conv3x3(Layer):
         if not self.input_grad:
             return None
         flipped = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _conv_padded(gbuf, flipped, h, w)
+        return _crop(_conv_padded(gbuf, flipped, h, w), w)
 
 
 class MaxPool2x2(Layer):
@@ -468,13 +463,12 @@ class MaxPool2x2(Layer):
         a, b, c, d = (x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
         top = np.maximum(a, b)
         bottom = np.maximum(c, d)
-        out = np.maximum(top, bottom)
         if mode == TRAINING:
             # int8 routing index; strict comparisons keep the first maximum on ties
             idx = (b > a).view(np.int8)
             np.copyto(idx, (d > c).view(np.int8) + np.int8(2), where=bottom > top)
             self._cache = (idx, x.shape)
-        return out
+        return np.maximum(top, bottom, out=top)
 
     def backward(self, grad_out):
         idx, (n, c, h, w) = self._cache
@@ -488,12 +482,9 @@ class Upsample2x(Layer):
     """Nearest-neighbor 2x upsampling; backward sums each 2x2 block.
 
     Backward adds the four strided views of grad_out, one per block position
-    a b / c d, in the order numpy reduces the 6-D (N, C, H/2, 2, W/2, 2) view
-    over its two size-2 axes: (a+b) + (c+d), or ((a+b)+c)+d when the half
-    width is 1 and the two axes merge into one run of four, each added to
-    numpy's starting +0.0. The result is bit-identical to that reduction,
-    signed zeros included. It allocates the returned array and, for the
-    (c+d) term, one temporary of the same size, a quarter of grad_out.
+    a b / c d, in the order numpy reduces the 6-D (N, C, H/2, 2, W/2, 2) view:
+    (a+b) + (c+d), or ((a+b)+c)+d at half width 1, added to numpy's starting
+    +0.0, so it is bit-identical to that reduction, signed zeros included.
     """
 
     def forward(self, x, mode=INFERENCE, rng=None):
@@ -515,15 +506,11 @@ class Upsample2x(Layer):
 class BatchNorm(Layer):
     """Batch normalization: per channel for NCHW inputs, per feature for NF inputs.
 
-    Every call allocates only full-size arrays it returns or caches, plus one
-    scratch array in backward; the rest works in place. A training forward
-    centres x once into the array it caches as xhat and squares that into the
-    array it returns; an inference forward works in its output alone;
-    backward uses one dxhat array, which it returns, and one scratch array.
-    Each floating-point operation, its operands and their order are those of
-    the allocating textbook form (with `x.var`), so the output, the input
-    gradient, the parameter gradients and the running statistics are
-    bit-identical to it for contiguous inputs.
+    Every call allocates only the full-size arrays it returns or caches, plus
+    one scratch array in backward; the rest works in place. Each
+    floating-point operation, its operands and their order are those of the
+    allocating textbook form (with `x.var`), so outputs, gradients and
+    running statistics are bit-identical to it for contiguous inputs.
     """
 
     EPS = 1e-5
@@ -550,6 +537,12 @@ class BatchNorm(Layer):
 
     def params(self):
         return [self.gamma, self.beta]
+
+    def scale_shift(self):
+        """(s, t) of the inference forward as the per-channel map x*s + t:
+        s = gamma / sqrt(running_var + EPS), t = beta - running_mean*s."""
+        scale = self.gamma.value / np.sqrt(self.running_var + self.EPS)
+        return scale, self.beta.value - self.running_mean * scale
 
     def _axes_and_shape(self, x):
         if x.ndim == 4:
@@ -764,20 +757,35 @@ class Model:
 
     def __init__(self, layers):
         self.layers = list(layers)
-        tensors = {f"{prefix}.{name}": p for prefix, layer in self.layers
-                   for name, p in layer.tensors().items()}
-        self._tensors = dict(sorted(tensors.items()))
-        self.arena = Arena(self._tensors.values())
+        tensors = dict(sorted({f"{prefix}.{name}": p for prefix, layer in self.layers
+                               for name, p in layer.tensors().items()}.items()))
+        self.arena = Arena(tensors.values())
         self.directory = {name: {"shape": list(p.shape), "offset": p._span.start}
-                          for name, p in self._tensors.items()}
+                          for name, p in tensors.items()}
+        self._fold = None  # (arena version, what _build_fold returned)
 
-    def params(self):
-        """Every tensor's Parameter, in arena order."""
-        return list(self._tensors.values())
+    def fold(self):
+        """What the model's inference derives from its weights, built by the
+        model's `_build_fold` and rebuilt only once `arena.version` has moved.
 
-    def state_dict(self):
-        """Name -> value, a view into the arena, in arena order."""
-        return {name: p.value for name, p in self._tensors.items()}
+        In inference a BatchNorm is the per-channel map x*s + t of
+        `BatchNorm.scale_shift`, so it folds into the linear layer beside it:
+        s scales that layer's weights and t joins its bias or shift (Jacob et
+        al., arXiv:1712.05877). One build serves every forward until the
+        weights change. Every library writer of the arena increments
+        `arena.version`: `adam_step`, `load_state`, the checkpoint loader and
+        a training-mode BatchNorm forward (its running statistics). A write
+        through a `Parameter.value` view is not seen: whoever makes one
+        increments `arena.version` too. A folded forward sums in another
+        float32 order and differs from the layer-by-layer one by about 1e-6
+        relative. Training runs layer by layer and never reads the fold.
+        """
+        if self._fold is None or self._fold[0] != self.arena.version:
+            self._fold = (self.arena.version, self._build_fold())
+        return self._fold[1]
+
+    def _build_fold(self):
+        raise NotImplementedError
 
 
 def snapshot_state(model, out=None):

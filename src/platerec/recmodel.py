@@ -6,29 +6,22 @@ batch-normalized, expanded-reduced through FC layers and one or two reduce
 blocks (FC halving the width + dropout 0.5 + ReLU), and finished with a
 single sigmoid unit.
 
-Inference runs the network in a factorized form. Up to the first reduce
-block's ReLU the inference-mode network is affine: `concat_bn` is a
-per-channel scale `s = gamma / sqrt(running_var + EPS)` and shift
-`t = beta - running_mean * s`, `expand_fc` and `block0.fc` are linear, and
-`block0.dropout` is the identity. Splitting `expand_fc`'s rows by branch, the
-ReLU's input is
+Inference runs the network in a factorized form, cached by `nn.Model.fold`.
+Up to the first reduce block's ReLU the inference-mode network is affine:
+`concat_bn` is a per-channel scale and shift, `expand_fc` and `block0.fc` are
+linear, and `block0.dropout` is the identity. Splitting `expand_fc`'s rows by
+branch, the ReLU's input is
 
     feature @ W_img + c + T_user[u] + T_rest[r]
 
 where `W_img` is the image branch folded into one
 (image_feature_dim, embed_dim) matrix, `c` is one row, and `T_user` and
 `T_rest` hold each branch's scaled and shifted embedding through its rows of
-`expand_fc` and through `block0.fc`, for every row of its table. The model
-caches this fold and rebuilds it only when its arena's `version` has moved,
-which every library writer of the weights (`adam_step`, `load_state`,
-`load_checkpoint`, a training-mode batch norm) makes it do; a write through a
-`Parameter.value` view must increment the version itself. A request then
-costs one (rows, image_feature_dim) x (image_feature_dim, embed_dim) product
-and two gathers before the rest of the network runs layer by layer. The fold
-changes the float32 summation order and so moves probabilities by about
-1e-6. Batch-norm folding follows Jacob et al., arXiv:1712.05877; per-entity
-terms cached for serving follow Covington et al., "Deep Neural Networks for
-YouTube Recommendations" (RecSys 2016). Training runs layer by layer.
+`expand_fc` and through `block0.fc`, for every row of its table. A request
+then costs one (rows, image_feature_dim) x (image_feature_dim, embed_dim)
+product and two gathers before the rest of the network runs layer by layer.
+Per-entity terms cached for serving follow Covington et al., "Deep Neural
+Networks for YouTube Recommendations" (RecSys 2016).
 """
 
 from __future__ import annotations
@@ -141,7 +134,6 @@ class RecModel(nn.Model):
         super().__init__(layers)
         self.branches = [layer for _, layer in layers[:3]]
         self.tail = nn.Sequential(layer for _, layer in layers[3:])
-        self._fold = None  # (arena version, W_img, c, T_user, T_rest)
 
     def layer_widths(self):
         """The tail's input width, then the output width of each of its Dense layers."""
@@ -150,9 +142,7 @@ class RecModel(nn.Model):
 
     def forward(self, batch: TriadBatch, mode=nn.INFERENCE, rng=None):
         """Probability per triad; concatenation order is (user, restaurant, image).
-
-        Inference takes the factorized path of the module docstring.
-        """
+        Inference takes the factorized path of the module docstring."""
         if len(batch) == 0:
             raise ValueError("empty batch")
         if mode == nn.TRAINING and len(batch) < 2:
@@ -174,9 +164,7 @@ class RecModel(nn.Model):
         users = user_emb.check_indices(batch.users)
         restaurants = rest_emb.check_indices(batch.restaurants)
         image_fc.check_input(features)
-        if self._fold is None or self._fold[0] != self.arena.version:
-            self._fold = (self.arena.version, *self._build_fold())
-        _, w_img, c, t_user, t_rest = self._fold
+        w_img, c, t_user, t_rest = self.fold()
         x = features @ w_img
         x += c
         x += t_user[users]
@@ -187,8 +175,7 @@ class RecModel(nn.Model):
         """(W_img, c, T_user, T_rest) of the module docstring, from the current weights."""
         user_emb, rest_emb, image_fc = self.branches
         bn, expand_fc, block_fc = self.tail.layers[:3]
-        scale = bn.gamma.value / np.sqrt(bn.running_var + bn.EPS)
-        shift = bn.beta.value - bn.running_mean * scale
+        scale, shift = bn.scale_shift()
         d, w_block = self.config.embed_dim, block_fc.weight.value
         # (scale, shift, expand_fc rows) of each branch
         user, rest, (s, t, w) = zip(scale.reshape(3, d), shift.reshape(3, d),

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import platerec
-from platerec import nn
+from conftest import named_views
+from platerec import harness, nn
 from platerec.cae import (
-    CaeConfig, build_cae, encode_image, encode_images, reconstruct_image,
-    train_cae,
+    CaeConfig, CaeModel, _as_batch, build_cae, encode_image, encode_images, evaluate_loss,
+    reconstruct_image, train_cae,
 )
 
 
@@ -70,8 +71,9 @@ class TestModel:
     def test_same_seed_same_weights(self):
         a = build_cae(CaeConfig(seed=4))
         b = build_cae(CaeConfig(seed=4))
-        for name, arr in a.state_dict().items():
-            assert np.array_equal(arr, b.state_dict()[name]), name
+        b_values = named_views(b, b.arena.values)
+        for name, arr in named_views(a, a.arena.values).items():
+            assert np.array_equal(arr, b_values[name]), name
 
     def test_shape_mismatch_rejected(self):
         model = build_cae(CaeConfig())
@@ -127,7 +129,6 @@ class TestTraining:
         images = smooth_images(6, 32, seed=5)
         val = smooth_images(4, 32, seed=6)
         model, history = train_cae(build_cae(cfg), images, val, cfg)
-        from platerec.cae import evaluate_loss, _as_batch
         re_eval = evaluate_loss(model, _as_batch(val, cfg), cfg)
         assert re_eval == pytest.approx(history.val_loss[history.best_epoch - 1], rel=1e-6)
 
@@ -164,9 +165,11 @@ class TestTraining:
             cfg = CaeConfig(max_epochs=2, patience=2, seed=0)
             model, _ = train_cae(build_cae(cfg), images, [], cfg)
             digest = hashlib.sha256()
-            for name, arr in sorted(model.state_dict().items()):
+            for name, meta in sorted(model.directory.items()):
+                start = meta["offset"]
                 digest.update(name.encode())
-                digest.update(arr.tobytes())
+                digest.update(model.arena.values[start:start + int(np.prod(meta["shape"]))]
+                              .tobytes())
             print(digest.hexdigest())
         """)
         src = str(Path(platerec.__file__).resolve().parents[1])
@@ -218,3 +221,154 @@ def test_batch_encode_matches_single():
     batch = encode_images(model, imgs)
     for i, img in enumerate(imgs):
         assert np.allclose(batch[i], encode_image(model, img), atol=1e-5)
+
+
+def randomize_norms(model, seed):
+    """Gammas of alternating sign, non-trivial running statistics and shifts in
+    every batch norm, written through views, so the version is incremented here."""
+    rng = nn.make_rng(seed, "cae-norm-state")
+    for _, layer in model.layers:
+        if isinstance(layer, nn.BatchNorm):
+            k = layer.num_features
+            sign = np.where(np.arange(k) % 2, -1.0, 1.0)
+            layer.gamma.value[...] = sign * rng.uniform(0.5, 1.5, size=k)
+            layer.beta.value[...] = rng.normal(scale=0.2, size=k)
+            layer.running_mean[...] = rng.normal(scale=0.5, size=k)
+            layer.running_var[...] = rng.uniform(0.25, 4.0, size=k)
+    model.arena.version += 1
+
+
+def layer_by_layer(model, x):
+    """(codes, reconstruction) of the inference forward run one layer at a
+    time: the form the folded inference must reproduce."""
+    code = model.encoder.forward(x, mode=nn.INFERENCE)
+    return code, model.decoder.forward(code, mode=nn.INFERENCE)
+
+
+def assert_close(got, want, rel=1e-5):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def folded_setup(size, n, seed=0):
+    cfg = CaeConfig(input_height=size, input_width=size, seed=seed)
+    model = build_cae(cfg)
+    randomize_norms(model, seed)
+    rng = nn.make_rng(seed, "cae-fold-images")
+    images = [rng.random((size, size, 3)).astype(np.float32) for _ in range(n)]
+    return model, images, _as_batch(images, cfg)
+
+
+class TestFoldedInference:
+
+    def test_downsampling_blocks_pool_before_their_relu(self):
+        kinds = [type(layer).__name__ for layer in build_cae(CaeConfig()).encoder.layers]
+        block = ["Conv3x3", "BatchNorm"]
+        assert kinds == (block + ["MaxPool2x2", "ReLU"]) * 2 + block + ["ReLU"] \
+            + block + ["MaxPool2x2", "ReLU"]
+
+    @pytest.mark.parametrize("size", [32, 8])
+    @pytest.mark.parametrize("n", [1, 5, 67])
+    def test_codes_and_forward_match_the_layer_by_layer_forward(self, size, n):
+        model, images, x = folded_setup(size, n)
+        code, recon = layer_by_layer(model, x)
+        assert_close(encode_images(model, images), code.reshape(n, -1))
+        assert_close(model.forward(x, mode=nn.INFERENCE), recon)
+        if n > 5:
+            assert np.any(code > 0) and np.any(code == 0)  # the ReLU both passes and cuts
+
+    @pytest.mark.parametrize("size", [32, 8])
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_evaluate_loss_matches_the_layer_by_layer_forward(self, size, kind):
+        model, _, x = folded_setup(size, 67, seed=1)
+        cfg = CaeConfig(input_height=size, input_width=size, loss_kind=kind)
+        losses = [nn.loss_eval(layer_by_layer(model, x[s:s + 64])[1], x[s:s + 64], kind)[0]
+                  for s in (0, 64)]
+        want = np.average(losses, weights=[64, 3])
+        assert abs(evaluate_loss(model, x, cfg) - want) <= 1e-5 * abs(want)
+
+    @pytest.mark.parametrize("size", [32, 8])
+    def test_reconstruct_image_matches_the_layer_by_layer_forward(self, size):
+        model, images, x = folded_setup(size, 3, seed=2)
+        for i, image in enumerate(images):
+            want = layer_by_layer(model, x[i:i + 1])[1][0].transpose(1, 2, 0)
+            assert_close(reconstruct_image(model, image), want)
+
+    def test_codes_do_not_depend_on_batch_composition(self):
+        model, images, _ = folded_setup(32, 70, seed=3)
+        whole = encode_images(model, images)
+        for batch_size in (1, 7, 64):
+            assert np.array_equal(encode_images(model, images, batch_size=batch_size), whole)
+        order = nn.make_rng(3, "cae-fold-order").permutation(70)
+        assert np.array_equal(encode_images(model, [images[i] for i in order]), whole[order])
+        assert np.array_equal(encode_images(model, images[10:20]), whole[10:20])
+
+
+class TestFoldCache:
+    """The folded inference is cached on the model and rebuilt when the arena's
+    version moves; each case warms the cache first, then writes the weights."""
+
+    def warm(self):
+        model, _, x = folded_setup(8, 9, seed=4)
+        return model, x, model.forward(x)
+
+    def assert_follows(self, model, x, stale):
+        code, recon = layer_by_layer(model, x)
+        assert_close(model.encode(x), code)
+        out = model.forward(x)
+        assert_close(out, recon)
+        assert np.abs(out - stale).max() > 1e-4  # the write moved the output
+
+    def adam_step_without_forward(self, model, seed):
+        grad = model.arena.require_grad()
+        grad[...] = nn.make_rng(seed, "cae-fold-cache-grad").normal(size=grad.size)
+        nn.adam_step(model.arena, 0.05)
+
+    def test_adam_step(self):
+        model, x, stale = self.warm()
+        self.adam_step_without_forward(model, 0)
+        self.assert_follows(model, x, stale)
+
+    def test_load_state(self):
+        model, x, _ = self.warm()
+        self.adam_step_without_forward(model, 1)
+        stepped = nn.snapshot_state(model)
+        self.adam_step_without_forward(model, 2)
+        stale = model.forward(x)
+        nn.load_state(model, stepped)
+        self.assert_follows(model, x, stale)
+
+    def test_load_checkpoint(self, tmp_path):
+        model, x, stale = self.warm()
+        self.adam_step_without_forward(model, 3)
+        harness.save_checkpoint(model, tmp_path / "stepped.ckpt")
+        loaded = harness.load_checkpoint(tmp_path / "stepped.ckpt")
+        assert loaded.arena.version != 0  # the load counts as a write
+        self.assert_follows(loaded, x, stale)
+        assert np.array_equal(loaded.forward(x), model.forward(x))
+
+    def test_training_forward_updates_the_running_statistics(self):
+        model, x, stale = self.warm()
+        model.forward(x, mode=nn.TRAINING)
+        self.assert_follows(model, x, stale)
+
+    def test_forwards_without_a_write_reuse_one_fold(self, monkeypatch):
+        builds, build = [], CaeModel._build_fold
+
+        def counting(model):
+            builds.append(model)
+            return build(model)
+
+        monkeypatch.setattr(CaeModel, "_build_fold", counting)
+        model, images, x = folded_setup(8, 5, seed=5)
+        cfg = model.config
+        first = model.forward(x)
+        assert len(builds) == 1
+        assert np.array_equal(model.forward(x), first)
+        encode_images(model, images)
+        evaluate_loss(model, x, cfg)
+        reconstruct_image(model, images[0])
+        assert len(builds) == 1
+        self.adam_step_without_forward(model, 6)
+        model.forward(x)
+        assert len(builds) == 2

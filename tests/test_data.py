@@ -13,7 +13,7 @@ from platerec.data import (
     ReviewRecord, SynthConfig, apply_transform, augment_minority,
     generate_synthetic, label_from_stars, load_feature_file, load_manifest,
     read_ppm, resize_image, save_feature_file, save_manifest,
-    split_dataset, three_way_split, write_ppm,
+    three_way_split, write_ppm,
 )
 
 
@@ -141,14 +141,14 @@ class TestSplit:
     def test_duplicate_pair_goes_to_train(self):
         revs = [review("a1", "A", "X", 5), review("a2", "A", "X", 2),
                 review("b1", "B", "Y", 4), review("b2", "B", "Z", 4)]
-        split = split_dataset(revs, seed=0)
+        split = three_way_split(revs, seed=0)
         assert partition_of_review(split, revs[0]) == "train"
         assert partition_of_review(split, revs[1]) == "train"
 
     def test_single_review_user_goes_to_train(self):
         revs = [review("b1", "B", "Y", 4),
                 review("c1", "C", "Y", 4), review("c2", "C", "Z", 4)]
-        split = split_dataset(revs, seed=0)
+        split = three_way_split(revs, seed=0)
         assert partition_of_review(split, revs[0]) == "train"
 
     def test_restaurant_coverage_pulls_back_to_train(self):
@@ -159,7 +159,7 @@ class TestSplit:
                 # duplicate pairs keep X and Y covered in train
                 review("e1", "E", "X", 4), review("e2", "E", "X", 2),
                 review("f1", "F", "Y", 4), review("f2", "F", "Y", 2)]
-        split = split_dataset(revs, seed=0)
+        split = three_way_split(revs, seed=0)
         assert partition_of_review(split, revs[2]) == "train"
         c_test = [r for r in split.rows
                   if r.user_id == "C" and r.partition == "test"]
@@ -167,14 +167,14 @@ class TestSplit:
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            split_dataset([], seed=0)
+            three_way_split([], seed=0)
 
     def test_stable_under_manifest_reordering(self):
         rng = np.random.default_rng(5)
         revs = [review(f"r{i}", f"u{i % 7}", f"x{i % 4}", int(rng.integers(1, 6)))
                 for i in range(30)]
-        a = split_dataset(revs, seed=3)
-        b = split_dataset(list(reversed(revs)), seed=3)
+        a = three_way_split(revs, seed=3)
+        b = three_way_split(list(reversed(revs)), seed=3)
         assert {(r.image_path, r.partition) for r in a.rows} == \
                {(r.image_path, r.partition) for r in b.rows}
 
@@ -210,8 +210,9 @@ class TestSplitInvariants:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_two_way(self, seed):
+        # the train/test guarantees, checked on the three-way split
         revs = random_manifest(np.random.default_rng(seed))
-        split = split_dataset(revs, seed=seed)
+        split = three_way_split(revs, seed=seed)
         check_invariants(split)
         n_images = sum(len(r.image_paths) for r in revs)
         assert len(split.rows) == n_images  # coverage

@@ -183,9 +183,9 @@ class TestCheckpoint:
         for model in (original, loaded):
             train_recommender(model, train, val, cfg)
         assert original.arena.step_count == loaded.arena.step_count > 0
-        trained = original.state_dict()
+        trained = named_views(original, original.arena.values)
         assert not np.array_equal(trained["expand_fc.weight"], before["expand_fc.weight"])
-        for name, arr in loaded.state_dict().items():
+        for name, arr in named_views(loaded, loaded.arena.values).items():
             assert arr.tobytes() == trained[name].tobytes(), name
 
 
@@ -240,7 +240,7 @@ class TestCheckpointFormat:
         for kind, model in models.items():
             nn.zero_grads(model.arena)
             model.backward(np.ones_like(outputs[kind]()))
-            stats = {name: arr for name, arr in model.state_dict().items()
+            stats = {name: arr for name, arr in named_views(model, model.arena.values).items()
                      if name.endswith(("running_mean", "running_var"))}
             for arr in stats.values():
                 arr[0] = -0.0

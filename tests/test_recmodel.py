@@ -231,6 +231,13 @@ class TestTraining:
         assert re_eval == pytest.approx(max(history.val_b_score))
 
 
+def named_params(model):
+    """Every Parameter of the model, in the arena's sorted-name order."""
+    named = ((f"{prefix}.{name}", p) for prefix, layer in model.layers
+             for name, p in layer.tensors().items())
+    return [p for _, p in sorted(named, key=lambda item: item[0])]
+
+
 class TestArena:
 
     def cfg(self):
@@ -251,10 +258,10 @@ class TestArena:
         model = build_recommender(self.cfg(), dtype=dtype)
         arena = model.arena
         assert arena.values.dtype == dtype
-        names = list(model.state_dict())
+        names = list(named_views(model, arena.values))
         assert names == sorted(names) and "concat_bn.running_var" in names
         start = 0
-        for name, p in zip(names, model.params(), strict=True):
+        for name, p in zip(names, named_params(model), strict=True):
             assert p.value.base is arena.values
             assert np.shares_memory(p.value, arena.values[start:start + p.value.size])
             assert model.directory[name] == {"shape": list(p.shape), "offset": start}
@@ -274,7 +281,7 @@ class TestArena:
         model.backward(nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")[1])
         arena = model.arena
         assert arena.grad is not None and arena.adam_m is None
-        for p in model.params():
+        for p in named_params(model):
             assert np.shares_memory(p.grad, arena.grad)
         assert np.any(arena.grad != 0)
 
@@ -283,13 +290,14 @@ class TestArena:
         batch = make_batch(6, self.cfg(), 1)
         probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(0, "drop"))
         model.backward(nn.loss_eval(probs, batch.labels.astype(np.float64), "bce")[1])
-        expected = np.sqrt(sum(float(np.sum(p.grad ** 2)) for p in model.params()))
+        expected = np.sqrt(sum(float(np.sum(g ** 2))
+                               for g in named_views(model, model.arena.grad).values()))
         assert model.arena.grad_norm() == pytest.approx(expected, rel=1e-12)
         nn.zero_grads(model.arena)
         assert model.arena.grad_norm() == 0.0
 
     def test_rebinding_a_gradient_is_rejected(self):
-        p = build_recommender(self.cfg()).params()[0]
+        p = named_params(build_recommender(self.cfg()))[0]
         with pytest.raises(AttributeError):
             p.grad = np.zeros_like(p.value)
 
@@ -308,15 +316,15 @@ class TestArena:
         self.train_steps(model, batch, 3)
         for name, arr in named_views(model, snapshot).items():
             assert np.array_equal(arr, frozen[name]), f"{name} followed the live model"
-        live = model.state_dict()
+        live = named_views(model, model.arena.values)
         assert not np.array_equal(live["user_emb.table"], frozen["user_emb.table"])
         assert not np.array_equal(live["concat_bn.running_mean"],
                                   frozen["concat_bn.running_mean"])
 
         nn.load_state(model, snapshot)
-        for name, arr in model.state_dict().items():
+        for name, arr in named_views(model, model.arena.values).items():
             assert arr.tobytes() == frozen[name].tobytes(), name
-        for p in model.params():
+        for p in named_params(model):
             assert np.shares_memory(p.value, model.arena.values)
 
     def test_snapshot_is_one_buffer(self):
