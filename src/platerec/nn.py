@@ -10,9 +10,10 @@ early-stopped mini-batch training loop both networks use.
 Everything is a plain numpy array in float32; a float64 mode exists only
 for finite-difference gradient checking.
 
-`Conv3x3` explains the convolution's padded-flat layout, `Arena` the one
-flat buffer that holds a model's tensors, and `Model.fold` the cached
-batch-norm fold that inference runs through.
+`Layer` states the gradient contract (a backward writes its gradients, so
+no step zeroes them), `Conv3x3` explains the convolution's padded-flat
+layout, `Arena` the one flat buffer that holds a model's tensors, and
+`Model.fold` the cached batch-norm fold that inference runs through.
 """
 
 from __future__ import annotations
@@ -103,22 +104,13 @@ class Parameter:
 
     @property
     def grad(self):
+        # read-only: a backward writes into this array, never rebinds it
         if self._grad is None:
             if self.arena is None:
                 self._grad = np.zeros_like(self.value)
             else:
                 self._grad = self.arena.require_grad()[self._span].reshape(self.value.shape)
         return self._grad
-
-    @grad.setter
-    def grad(self, value):
-        # `p.grad += g` stores back the array it updated in place; any other
-        # array would cut the gradient loose from the arena
-        if value is not self._grad:
-            raise AttributeError("write gradients in place, as p.grad[...] = g")
-
-    def zero_grad(self):
-        self.grad[...] = 0
 
 
 # Values per chunk of `adam_step`. A float32 chunk's six operands (gradient,
@@ -130,15 +122,15 @@ ADAM_CHUNK = 64 * 1024
 class Arena:
     """One model's tensors laid end to end in one contiguous buffer (the flat
     parameter and gradient buffers of ZeRO, Rajbhandari et al.,
-    arXiv:1910.02054), so `zero_grads` is one fill, `adam_step` one chunked
-    pass, the global gradient norm one dot product, and a snapshot, a
-    restore, a checkpoint write and a checkpoint read one copy each.
+    arXiv:1910.02054), so `adam_step` is one chunked pass, the global
+    gradient norm one dot product, and a snapshot, a restore, a checkpoint
+    write and a checkpoint read one copy each.
 
     `values` holds every parameter, in the order given (a `Model` gives its
     sorted-name order), in their one dtype, and each `Parameter.value`
     becomes a view into it. `grad`, `adam_m` and `adam_v` have the same
-    layout and stay None until training first needs them (`zero_grads`, a
-    backward pass or `adam_step`), so a model that only runs forward holds
+    layout and stay None until training first needs them (a backward pass
+    or `adam_step`), so a model that only runs forward holds
     its weights and nothing else. Packing happens once, when the model is
     built: it copies the values in and drops any gradient a parameter held
     on its own.
@@ -190,6 +182,8 @@ def _mapped_zeros(size, dtype):
 
 
 def zero_grads(arena):
+    """Zero the gradient buffer. Training never needs it (see `Layer`); the
+    benchmark's span recorder wraps it by name."""
     arena.require_grad().fill(0)
 
 
@@ -270,7 +264,6 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
             if len(idx) < 2:
                 continue
             loss, grad = batch_loss(idx)
-            zero_grads(arena)
             model.backward(grad)
             adam_step(arena, config.learning_rate)
             losses.append(loss)
@@ -304,6 +297,14 @@ def _check_mode(mode):
 
 class Layer:
     """Base class: forward caches what backward needs (training mode only).
+
+    `backward(grad_out)` returns the gradient wrt the input and writes, not
+    adds, the gradient of each trainable parameter into its `grad`. Nothing
+    accumulates over backwards, so no step zeroes the gradients first: after
+    a model's backward, which runs every layer that holds a trainable
+    parameter, the gradient buffer is that backward's alone. The slots no
+    backward writes, those of BatchNorm's running statistics, keep the zeros
+    they were allocated with.
 
     A layer with weights takes the generator that draws them; with `rng` None
     its weights start at zero.
@@ -443,8 +444,8 @@ class Conv3x3(Layer):
         # grid, with zeros in the two slack columns
         g = _tap_slices(gbuf, h, w)[4]
         for t, tap in enumerate(_tap_slices(buf, h, w)):
-            grad_tap = np.matmul(g, tap.transpose(0, 2, 1)).sum(axis=0)
-            self.weight.grad[:, :, t // 3, t % 3] += grad_tap
+            np.matmul(g, tap.transpose(0, 2, 1)).sum(
+                axis=0, out=self.weight.grad[:, :, t // 3, t % 3])
         if not self.input_grad:
             return None
         flipped = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -520,7 +521,8 @@ class BatchNorm(Layer):
         self.num_features = num_features
         self.gamma = Parameter(np.ones(num_features, dtype=dtype))
         self.beta = Parameter(np.zeros(num_features, dtype=dtype))
-        # not trained: their gradient stays zero, so an Adam step leaves them as they are
+        # not trained: no backward writes their gradient, which stays zero, so
+        # an Adam step leaves them as they are
         self._running = {"running_mean": Parameter(np.zeros(num_features, dtype=dtype)),
                          "running_var": Parameter(np.ones(num_features, dtype=dtype))}
 
@@ -592,8 +594,8 @@ class BatchNorm(Layer):
         xhat, std, axes, bshape = self._cache
         m = grad_out.size // self.num_features
         scratch = np.multiply(grad_out, xhat)
-        self.gamma.grad += scratch.sum(axis=axes)
-        self.beta.grad += grad_out.sum(axis=axes)
+        scratch.sum(axis=axes, out=self.gamma.grad)
+        grad_out.sum(axis=axes, out=self.beta.grad)
         dxhat = np.multiply(grad_out, self.gamma.value.reshape(bshape))
         mean_d = dxhat.sum(axis=axes).reshape(bshape) / m
         np.multiply(dxhat, xhat, out=scratch)
@@ -634,8 +636,8 @@ class Dense(Layer):
 
     def backward(self, grad_out):
         x = self._cache
-        self.weight.grad += x.T @ grad_out
-        self.bias.grad += grad_out.sum(axis=0)
+        np.matmul(x.T, grad_out, out=self.weight.grad)
+        grad_out.sum(axis=0, out=self.bias.grad)
         return grad_out @ self.weight.value.T
 
 
@@ -668,7 +670,9 @@ class Embedding(Layer):
         return self.table.value[indices]
 
     def backward(self, grad_out):
-        np.add.at(self.table.grad, self._cache, grad_out)
+        grad = self.table.grad
+        grad.fill(0)  # np.add.at adds, and rows no index hits take no gradient
+        np.add.at(grad, self._cache, grad_out)
         return None  # indices carry no gradient
 
 
@@ -872,7 +876,7 @@ def finite_diff_gradcheck(forward, backward, inputs, params=()):
     """Check analytic vs numeric gradients of sum(R * forward()).
 
     forward: () -> output array (re-runs the op on the current inputs/params)
-    backward: (grad_out) -> tuple of input gradients (params accumulate their own)
+    backward: (grad_out) -> tuple of input gradients (params write their own)
     inputs: arrays to check by perturbation (float64, mutated in place)
     params: Parameters whose .grad to check as well
     Returns the max relative error over all checked coordinates.
@@ -884,8 +888,6 @@ def finite_diff_gradcheck(forward, backward, inputs, params=()):
     def scalar():
         return float(np.sum(forward() * probe))
 
-    for p in params:
-        p.zero_grad()
     forward()
     input_grads = backward(probe)
     if input_grads is None:

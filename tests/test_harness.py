@@ -3,6 +3,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +239,6 @@ class TestCheckpointFormat:
                    "rec": lambda: models["rec"].forward(batch, mode=nn.TRAINING,
                                                         rng=nn.make_rng(0, "drop"))}
         for kind, model in models.items():
-            nn.zero_grads(model.arena)
             model.backward(np.ones_like(outputs[kind]()))
             stats = {name: arr for name, arr in named_views(model, model.arena.values).items()
                      if name.endswith(("running_mean", "running_var"))}
@@ -251,6 +251,35 @@ class TestCheckpointFormat:
             assert not np.array_equal(model.arena.values, weights), kind
             for name, arr in stats.items():
                 assert arr.tobytes() == before[name], name
+
+
+class TestBackwardWritesGradients:
+
+    @pytest.mark.parametrize("kind", ["cae", "rec"])
+    def test_a_backward_leaves_the_gradient_of_its_batch_alone(self, kind):
+        # batch B's backward after batch A's gives the bytes of B's backward in
+        # a fresh model; B looks up user 0 only, so A's other user rows must go
+        def backward(model, seed):
+            if kind == "cae":
+                x = nn.make_rng(seed, "write-grads").random((4, 3, 8, 8)).astype(np.float32)
+                model.backward(nn.loss_eval(model.forward(x, mode=nn.TRAINING), x, "bce")[1])
+                return
+            batch = probe_batch(model.config, seed)
+            if seed == 2:
+                batch = replace(batch, users=np.zeros_like(batch.users))
+            probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(seed, "drop"))
+            model.backward(nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")[1])
+
+        def build():
+            if kind == "cae":
+                return build_cae(CaeConfig(input_height=8, input_width=8, seed=5))
+            return tiny_rec_model(seed=5)
+
+        twice, once = build(), build()
+        backward(twice, 1)
+        backward(twice, 2)
+        backward(once, 2)
+        assert twice.arena.grad.tobytes() == once.arena.grad.tobytes()
 
 
 class TestTrainingCaches:
@@ -278,7 +307,6 @@ class TestTrainingCaches:
         for model, loss_eval in steps:
             before = model.arena.values.copy()
             _, grad = loss_eval()
-            nn.zero_grads(model.arena)
             model.backward(grad)
             nn.adam_step(model.arena, 1e-3)
             assert np.all(np.isfinite(model.arena.values))

@@ -132,7 +132,6 @@ class TestConv3x3:
         tol = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(conv.forward(x), out_ref, **tol)
         np.testing.assert_allclose(conv.forward(x, mode=nn.TRAINING), out_ref, **tol)
-        conv.weight.zero_grad()
         np.testing.assert_allclose(conv.backward(grad_out), gxp_ref[:, :, 1:h + 1, 1:w + 1], **tol)
         np.testing.assert_allclose(conv.weight.grad, gw_ref, **tol)
 
@@ -321,8 +320,8 @@ def _batchnorm_reference(bn, x, mode, grad_out=None):
     """The allocating forward and backward that `nn.BatchNorm` must match bit for bit.
 
     Runs the forward pass on `x`, updating the running statistics in training
-    mode, then, given `grad_out`, the backward pass, accumulating the gamma
-    and beta gradients. Returns (output, input gradient or None).
+    mode, then, given `grad_out`, the backward pass, writing the gamma and
+    beta gradients. Returns (output, input gradient or None).
     """
     axes, bshape = bn._axes_and_shape(x)
     gamma = bn.gamma.value.reshape(bshape)
@@ -345,8 +344,8 @@ def _batchnorm_reference(bn, x, mode, grad_out=None):
         out = gamma * xhat + beta
     if grad_out is None:
         return out, None
-    bn.gamma.grad += (grad_out * xhat).sum(axis=axes)
-    bn.beta.grad += grad_out.sum(axis=axes)
+    bn.gamma.grad[...] = (grad_out * xhat).sum(axis=axes)
+    bn.beta.grad[...] = grad_out.sum(axis=axes)
     m = grad_out.size // bn.num_features
     dxhat = grad_out * bn.gamma.value.reshape(bshape)
     mean_d = dxhat.sum(axis=axes).reshape(bshape) / m
@@ -516,7 +515,6 @@ class TestAdam:
         p = nn.Parameter(np.array([1.0]))
         arena = nn.Arena([p])
         for _ in range(500):
-            p.zero_grad()
             p.grad[...] = 2.0 * p.value
             nn.adam_step(arena, lr=0.05)
         assert abs(p.value[0]) < 0.01

@@ -167,7 +167,6 @@ class TestGradients:
 
         probs = model.forward(batch, mode=nn.TRAINING)
         _, grad = nn.loss_eval(probs, batch.labels.astype(np.float64), "bce")
-        nn.zero_grads(model.arena)
         model.backward(grad)
         analytic = probe.grad.copy()
         numeric = nn.numerical_gradient(loss_of, probe.value)
@@ -249,7 +248,6 @@ class TestArena:
         for _ in range(n):
             probs = model.forward(batch, mode=nn.TRAINING, rng=rng)
             _, grad = nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")
-            nn.zero_grads(model.arena)
             model.backward(grad)
             nn.adam_step(model.arena, lr)
 
@@ -452,7 +450,6 @@ class TestFactorizedInference:
         before = model.forward(batch)
 
         probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(0, "drop"))
-        nn.zero_grads(model.arena)
         model.backward(nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")[1])
         nn.adam_step(model.arena, 0.05)
         stepped = model.forward(batch)
@@ -655,7 +652,6 @@ def test_training_step_bytes_are_pinned(n_blocks):
                        labels=rng.integers(0, 2, size=16))
     probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(11, "fold-grad-drop"))
     _, grad = nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")
-    nn.zero_grads(model.arena)
     feature_grad = model.backward(grad)
     digest = hashlib.sha256(model.arena.grad.tobytes() + feature_grad.tobytes() + probs.tobytes())
     assert digest.hexdigest() == TRAINING_STEP_SHA256[n_blocks]
