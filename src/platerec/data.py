@@ -87,9 +87,10 @@ def label_from_stars(stars: int) -> int:
 # Manifest IO (one JSON object per line)
 # ---------------------------------------------------------------------------
 
-def load_manifest(path) -> list[ReviewRecord]:
-    records = []
-    seen = set()
+def _jsonl_objects(path, what, fields):
+    """(line number, object) for each non-blank line of a JSONL file. A line
+    that is not a JSON object holding every one of `fields` raises ValueError
+    naming `path:line`."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -98,42 +99,47 @@ def load_manifest(path) -> list[ReviewRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed manifest line: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: malformed {what} line: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(
                     f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
                 )
-            try:
-                rec = ReviewRecord(
-                    review_id=obj["review_id"],
-                    user_id=obj["user_id"],
-                    restaurant_id=obj["restaurant_id"],
-                    stars=obj["stars"],
-                    image_paths=obj["images"],
-                    timestamp=obj.get("timestamp"),
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            for name in ("review_id", "user_id", "restaurant_id"):
-                if not isinstance(getattr(rec, name), str):
-                    raise ValueError(f"{path}:{lineno}: {name} must be a string")
-            # JSON has one number type: 4 and 4.0 are both four stars, 4.5 is not
-            if isinstance(rec.stars, float) and rec.stars.is_integer():
-                rec.stars = int(rec.stars)
-            if type(rec.stars) is not int:
-                raise ValueError(f"{path}:{lineno}: stars must be an integer, got {rec.stars!r}")
-            if not isinstance(rec.image_paths, list) or not all(
-                isinstance(p, str) for p in rec.image_paths
-            ):
-                raise ValueError(f"{path}:{lineno}: images must be a list of path strings")
-            if not 1 <= rec.stars <= 5:
-                raise ValueError(f"{path}:{lineno}: stars must be in [1, 5], got {rec.stars}")
-            if not rec.image_paths:
-                raise ValueError(f"{path}:{lineno}: review has no images")
-            if rec.review_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate review_id {rec.review_id!r}")
-            seen.add(rec.review_id)
-            records.append(rec)
+            for name in fields:
+                if name not in obj:
+                    raise ValueError(f"{path}:{lineno}: missing field {name!r}")
+            yield lineno, obj
+
+
+def load_manifest(path) -> list[ReviewRecord]:
+    records = []
+    seen = set()
+    fields = ("review_id", "user_id", "restaurant_id", "stars", "images")
+    for lineno, obj in _jsonl_objects(path, "manifest", fields):
+        rec = ReviewRecord(*(obj[name] for name in fields), timestamp=obj.get("timestamp"))
+        for name in ("review_id", "user_id", "restaurant_id"):
+            if not isinstance(getattr(rec, name), str):
+                raise ValueError(f"{path}:{lineno}: {name} must be a string")
+        # JSON has one number type: 4 and 4.0 are both four stars, 4.5 is not
+        if isinstance(rec.stars, float) and rec.stars.is_integer():
+            rec.stars = int(rec.stars)
+        if type(rec.stars) is not int:
+            raise ValueError(f"{path}:{lineno}: stars must be an integer, got {rec.stars!r}")
+        if not isinstance(rec.image_paths, list) or not all(
+            isinstance(p, str) for p in rec.image_paths
+        ):
+            raise ValueError(f"{path}:{lineno}: images must be a list of path strings")
+        if not 1 <= rec.stars <= 5:
+            raise ValueError(f"{path}:{lineno}: stars must be in [1, 5], got {rec.stars}")
+        if not rec.image_paths:
+            raise ValueError(f"{path}:{lineno}: review has no images")
+        # null, like an absent field, means no timestamp; a bool is not an integer
+        if rec.timestamp is not None and type(rec.timestamp) is not int:
+            raise ValueError(
+                f"{path}:{lineno}: timestamp must be an integer, got {rec.timestamp!r}")
+        if rec.review_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate review_id {rec.review_id!r}")
+        seen.add(rec.review_id)
+        records.append(rec)
     return records
 
 
@@ -250,34 +256,19 @@ def load_split(path) -> SplitAssignment:
     """Read a split file `save_split` wrote; a malformed line raises ValueError
     naming `path:line`."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed split line: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
-                )
-            try:
-                row = SplitRow(obj["image_path"], obj["user_id"], obj["restaurant_id"],
-                               obj["label"], obj["origin"], obj["partition"])
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            for name in ("image_path", "user_id", "restaurant_id"):
-                if not isinstance(getattr(row, name), str):
-                    raise ValueError(f"{path}:{lineno}: {name} must be a string")
-            if type(row.label) is not int or row.label not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {row.label!r}")
-            if row.origin not in SPLIT_ORIGINS:
-                raise ValueError(f"{path}:{lineno}: unknown origin {row.origin!r}")
-            if row.partition not in PARTITIONS:
-                raise ValueError(f"{path}:{lineno}: unknown partition {row.partition!r}")
-            rows.append(row)
+    fields = ("image_path", "user_id", "restaurant_id", "label", "origin", "partition")
+    for lineno, obj in _jsonl_objects(path, "split", fields):
+        row = SplitRow(*(obj[name] for name in fields))
+        for name in ("image_path", "user_id", "restaurant_id"):
+            if not isinstance(getattr(row, name), str):
+                raise ValueError(f"{path}:{lineno}: {name} must be a string")
+        if type(row.label) is not int or row.label not in (0, 1):
+            raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {row.label!r}")
+        if row.origin not in SPLIT_ORIGINS:
+            raise ValueError(f"{path}:{lineno}: unknown origin {row.origin!r}")
+        if row.partition not in PARTITIONS:
+            raise ValueError(f"{path}:{lineno}: unknown partition {row.partition!r}")
+        rows.append(row)
     return SplitAssignment(
         rows=rows,
         user_index=_index_map(r.user_id for r in rows),

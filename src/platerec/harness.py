@@ -232,21 +232,27 @@ def split_manifest(manifest_path, seed, out_dir):
 def materialize_augmentation(split, data_dir, out_dir):
     """Augment minority train rows and write the transformed image files.
 
-    Transforms run at stored resolution, before any resizing. Returns the
-    split with one train row per transformed image appended, and writes it
-    to out_dir/augmented_split.jsonl.
+    Transforms run at stored resolution, before any resizing. The image made
+    from `<path>` is written to out_dir/augmented/<origin>/<path>, so images
+    of one basename in different directories stay apart; a path that is
+    absolute or has a `..` part raises ValueError. Returns the split with one
+    train row per transformed image appended, and writes it to
+    out_dir/augmented_split.jsonl.
     """
     data_dir, out_dir = Path(data_dir), Path(out_dir)
-    (out_dir / "augmented").mkdir(parents=True, exist_ok=True)
     new_rows = []
     written = set()
     for row in data_mod.augment_minority(split.rows_in("train")):
         if row.origin == "original":
             continue
-        new_ref = f"augmented/{row.origin}__{Path(row.image_path).name}"
+        source = Path(row.image_path)
+        if source.is_absolute() or ".." in source.parts:
+            raise ValueError(f"image path {row.image_path!r} must be relative, with no '..'")
+        new_ref = f"augmented/{row.origin}/{row.image_path}"
         if new_ref not in written:
-            img = data_mod.read_ppm(data_dir / row.image_path)
+            img = data_mod.read_ppm(data_dir / source)
             out = data_mod.apply_transform(img, KIND_OF_ORIGIN[row.origin])
+            (out_dir / new_ref).parent.mkdir(parents=True, exist_ok=True)
             data_mod.write_ppm(out, out_dir / new_ref)
             written.add(new_ref)
         new_rows.append(replace(row, image_path=new_ref))

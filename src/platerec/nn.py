@@ -87,7 +87,8 @@ def _initial_weight(shape, fan_in, rng, dtype):
 
 class Parameter:
     """A persistent tensor. Once packed into an `Arena`, `value` and `grad` are
-    views into the arena's buffers; `grad` is allocated on first use.
+    views into the arena's buffers; `grad` is allocated on first use, and a
+    backward writes into it (see `Layer`) but never rebinds it.
 
     A write through `value` is not seen by `Arena.version` (see `Model.fold`).
     """
@@ -104,7 +105,6 @@ class Parameter:
 
     @property
     def grad(self):
-        # read-only: a backward writes into this array, never rebinds it
         if self._grad is None:
             if self.arena is None:
                 self._grad = np.zeros_like(self.value)
@@ -130,10 +130,9 @@ class Arena:
     sorted-name order), in their one dtype, and each `Parameter.value`
     becomes a view into it. `grad`, `adam_m` and `adam_v` have the same
     layout and stay None until training first needs them (a backward pass
-    or `adam_step`), so a model that only runs forward holds
-    its weights and nothing else. Packing happens once, when the model is
-    built: it copies the values in and drops any gradient a parameter held
-    on its own.
+    or `adam_step`), so a model that only runs forward holds its weights and
+    nothing else. Packing happens once, when the model is built: it copies
+    the values in and drops any gradient a parameter held on its own.
 
     `version` counts the library's writes to `values`; `Model.fold` names
     the writers and keys its cache on it.
@@ -182,8 +181,7 @@ def _mapped_zeros(size, dtype):
 
 
 def zero_grads(arena):
-    """Zero the gradient buffer. Training never needs it (see `Layer`); the
-    benchmark's span recorder wraps it by name."""
+    # no training step needs this (see `Layer`); the benchmark's span recorder wraps it
     arena.require_grad().fill(0)
 
 
@@ -298,13 +296,11 @@ def _check_mode(mode):
 class Layer:
     """Base class: forward caches what backward needs (training mode only).
 
-    `backward(grad_out)` returns the gradient wrt the input and writes, not
-    adds, the gradient of each trainable parameter into its `grad`. Nothing
-    accumulates over backwards, so no step zeroes the gradients first: after
-    a model's backward, which runs every layer that holds a trainable
-    parameter, the gradient buffer is that backward's alone. The slots no
-    backward writes, those of BatchNorm's running statistics, keep the zeros
-    they were allocated with.
+    `backward(grad_out)` returns the input gradient and writes, never adds,
+    each trainable parameter's gradient into its `grad`, so no step zeroes
+    the gradients first. A model's backward runs every layer that holds a
+    trainable parameter; the slots no backward writes, BatchNorm's running
+    statistics, keep the zeros they were allocated with.
 
     A layer with weights takes the generator that draws them; with `rng` None
     its weights start at zero.
@@ -521,8 +517,7 @@ class BatchNorm(Layer):
         self.num_features = num_features
         self.gamma = Parameter(np.ones(num_features, dtype=dtype))
         self.beta = Parameter(np.zeros(num_features, dtype=dtype))
-        # not trained: no backward writes their gradient, which stays zero, so
-        # an Adam step leaves them as they are
+        # not trained: their gradient stays zero, so an Adam step leaves them as they are
         self._running = {"running_mean": Parameter(np.zeros(num_features, dtype=dtype)),
                          "running_var": Parameter(np.ones(num_features, dtype=dtype))}
 

@@ -102,6 +102,19 @@ class TestManifest:
         with pytest.raises(ValueError, match=f"{re.escape(str(p))}:2:"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("value", ["2020-01-01", 1.5, True, [1], {"t": 1}])
+    def test_timestamp_that_is_not_an_integer_names_the_line(self, tmp_path, value):
+        p = tmp_path / "m.jsonl"
+        p.write_text(json.dumps({**VALID_MANIFEST_OBJECT, "timestamp": value}) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(p))}:1: timestamp must be an integer"):
+            load_manifest(p)
+
+    def test_null_timestamp_is_no_timestamp(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        p.write_text(json.dumps({**VALID_MANIFEST_OBJECT, "timestamp": None}) + "\n")
+        assert load_manifest(p)[0].timestamp is None
+
     def test_integral_float_stars_accepted(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text('{"review_id": "r1", "user_id": "u1", "restaurant_id": "x", '
@@ -109,7 +122,8 @@ class TestManifest:
         assert load_manifest(p)[0].stars == 4
 
     @settings(max_examples=60, deadline=None)
-    @given(field=st.sampled_from(["review_id", "user_id", "restaurant_id", "stars", "images"]),
+    @given(field=st.sampled_from(["review_id", "user_id", "restaurant_id", "stars", "images",
+                                  "timestamp"]),
            value=json_values)
     def test_fuzzed_field_loads_or_names_the_line(self, field, value):
         obj = {**VALID_MANIFEST_OBJECT, field: value}
@@ -124,6 +138,7 @@ class TestManifest:
         assert all(isinstance(v, str) for v in (rec.review_id, rec.user_id, rec.restaurant_id))
         assert type(rec.stars) is int and 1 <= rec.stars <= 5
         assert rec.image_paths and all(isinstance(v, str) for v in rec.image_paths)
+        assert rec.timestamp is None or type(rec.timestamp) is int
 
 
 # ---------------------------------------------------------------------------

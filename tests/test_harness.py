@@ -15,7 +15,8 @@ from platerec import cli, harness, nn
 from platerec.cae import CaeConfig, build_cae, train_cae
 from platerec.metrics import ConfusionCounts, MetricsReport, format_report
 from platerec.data import (
-    SynthConfig, generate_synthetic, load_feature_file, load_split, save_feature_file,
+    SplitAssignment, SplitRow, SynthConfig, apply_transform, generate_synthetic,
+    load_feature_file, load_split, read_ppm, save_feature_file, write_ppm,
 )
 from platerec.recmodel import RecConfig, build_recommender, train_recommender
 from platerec.recmodel import TriadBatch
@@ -362,6 +363,42 @@ MALFORMED_CHECKPOINTS = {
     "tensors-not-object": lambda h, p: ({**h, "tensors": ["a"]}, p),
     "tensor-entry-not-object": lambda h, p: (_with_tensor(h, 0, [1, 2]), p),
 }
+
+
+def _train_split(labels):
+    """A split of train rows, one per path of `labels` (path -> label), each
+    with a user of its own."""
+    rows = [SplitRow(path, f"u{i}", "r0", label, "original", "train")
+            for i, (path, label) in enumerate(labels.items())]
+    return SplitAssignment(rows, {r.user_id: i for i, r in enumerate(rows)}, {"r0": 0})
+
+
+class TestAugmentation:
+
+    def test_images_of_one_basename_stay_apart(self, tmp_path):
+        labels = {"a/x.ppm": 0, "b/x.ppm": 0, "c/y.ppm": 1, "c/z.ppm": 1, "c/w.ppm": 1}
+        data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+        rng = nn.make_rng(0, "aug-basename")
+        for path in labels:
+            (data_dir / path).parent.mkdir(parents=True, exist_ok=True)
+            write_ppm(rng.random((4, 6, 3)), data_dir / path)
+        split = _train_split(labels)
+        source = {r.user_id: r.image_path for r in split.rows}
+        augmented = harness.materialize_augmentation(split, data_dir, out_dir).rows[5:]
+        assert len(augmented) == 8 and len({r.image_path for r in augmented}) == 8
+        for row in augmented:
+            kind = harness.KIND_OF_ORIGIN[row.origin]
+            write_ppm(apply_transform(read_ppm(data_dir / source[row.user_id]), kind),
+                      tmp_path / "expected.ppm")
+            assert row.image_path == f"augmented/{row.origin}/{source[row.user_id]}"
+            assert (out_dir / row.image_path).read_bytes() == \
+                (tmp_path / "expected.ppm").read_bytes()
+
+    @pytest.mark.parametrize("bad", ["/abs/x.ppm", "../x.ppm", "a/../../x.ppm"])
+    def test_a_path_leaving_the_output_directory_is_rejected(self, tmp_path, bad):
+        split = _train_split({bad: 0, "c/y.ppm": 1, "c/z.ppm": 1})
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            harness.materialize_augmentation(split, tmp_path, tmp_path / "out")
 
 
 class TestCheckpointReader:
