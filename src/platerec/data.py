@@ -113,6 +113,7 @@ def _jsonl_objects(path, what, fields):
 def load_manifest(path) -> list[ReviewRecord]:
     records = []
     seen = set()
+    # the required keys, in ReviewRecord's field order
     fields = ("review_id", "user_id", "restaurant_id", "stars", "images")
     for lineno, obj in _jsonl_objects(path, "manifest", fields):
         rec = ReviewRecord(*(obj[name] for name in fields), timestamp=obj.get("timestamp"))
@@ -256,6 +257,7 @@ def load_split(path) -> SplitAssignment:
     """Read a split file `save_split` wrote; a malformed line raises ValueError
     naming `path:line`."""
     rows = []
+    # the required keys, in SplitRow's field order
     fields = ("image_path", "user_id", "restaurant_id", "label", "origin", "partition")
     for lineno, obj in _jsonl_objects(path, "split", fields):
         row = SplitRow(*(obj[name] for name in fields))

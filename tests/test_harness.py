@@ -262,20 +262,18 @@ class TestBackwardWritesGradients:
         # a fresh model; B looks up user 0 only, so A's other user rows must go
         def backward(model, seed):
             if kind == "cae":
-                x = nn.make_rng(seed, "write-grads").random((4, 3, 8, 8)).astype(np.float32)
-                model.backward(nn.loss_eval(model.forward(x, mode=nn.TRAINING), x, "bce")[1])
-                return
-            batch = probe_batch(model.config, seed)
-            if seed == 2:
-                batch = replace(batch, users=np.zeros_like(batch.users))
-            probs = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(seed, "drop"))
-            model.backward(nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")[1])
+                target = nn.make_rng(seed, "write-grads").random((4, 3, 8, 8)).astype(np.float32)
+                prediction = model.forward(target, mode=nn.TRAINING)
+            else:
+                batch = probe_batch(model.config, seed)
+                if seed == 2:
+                    batch = replace(batch, users=np.zeros_like(batch.users))
+                prediction = model.forward(batch, mode=nn.TRAINING, rng=nn.make_rng(seed, "drop"))
+                target = batch.labels.astype(np.float32)
+            model.backward(nn.loss_eval(prediction, target, "bce")[1])
 
-        def build():
-            if kind == "cae":
-                return build_cae(CaeConfig(input_height=8, input_width=8, seed=5))
-            return tiny_rec_model(seed=5)
-
+        build = {"cae": lambda: build_cae(CaeConfig(input_height=8, input_width=8, seed=5)),
+                 "rec": lambda: tiny_rec_model(seed=5)}[kind]
         twice, once = build(), build()
         backward(twice, 1)
         backward(twice, 2)
