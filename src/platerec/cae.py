@@ -8,11 +8,28 @@ the gradients differ only in windows whose maximum is at most 0, where both
 orders give 0. Decoder mirrors the encoder with nearest-neighbor upsampling
 and ends in a sigmoid so reconstructions stay in (0, 1).
 
+Each decoder upsampling runs with the conv after it as one step at the low
+resolution (`nn.Conv3x3.upsample`). A 2x nearest-neighbour upsampling
+followed by a 3x3 conv (a resize-convolution, Odena, Dumoulin & Olah,
+Distill 2016) is exactly a sub-pixel convolution (Shi et al.,
+arXiv:1609.05158): output row 2i + p reads low-resolution rows i - 1 + p and
+i + p only. Phase p = 0 reads row offset -1 with kernel row 0 and offset 0
+with rows 1 + 2; phase 1 reads offset 0 with rows 0 + 1 and offset +1 with
+row 2; columns follow the same rule. So each of the four output phases
+(pi, pj) is a 2x2 conv of the padded low-resolution input whose taps are
+sums of the 3x3 taps (`nn.phase_kernels`): 16 (phase, tap) GEMMs, 4/9 of
+the multiply-adds, interleaved into the output, and neither the upsampled
+tensor nor its padded copy is built. Backward computes each phase-tap's
+weight gradient against its phase of the output gradient, gives each 3x3
+tap the sum of the four it feeds, and computes the input gradient at the
+low resolution. Training builds the phase kernels every step; inference
+takes them from the fold.
+
 Inference folds every conv -> batch norm pair (`nn.Model.fold`). A block
 that pools takes the max on the conv's uncropped (N, O, H, W+2) grid, as
 max commutes with the per-channel shift, then adds the shift and applies
-the ReLU in place on the pooled array; other blocks add the shift while
-cropping the grid.
+the ReLU in place on the pooled array; an upsampling block adds the shift
+while interleaving the phases, and other blocks while cropping the grid.
 """
 
 from __future__ import annotations
@@ -77,6 +94,12 @@ def _building_block(cin, cout, rng, dtype, pool=False):
 class CaeModel(nn.Model):
     """Encoder and decoder; their layers are named `encoder.<i>` and `decoder.<i>`.
 
+    Each decoder `Upsample2x` is done by the conv after it (`Conv3x3.upsample`):
+    the model's walk takes the pair as one step and never runs the
+    upsampling's own forward or backward. The entries stay in the decoder
+    list, as their positions name the layers after them. So `encoder` and
+    `decoder` only hold the layers; `forward` and `backward` walk them.
+
     `rng` draws the weights; with None they start at zero, for a model that
     a checkpoint fills.
     """
@@ -89,27 +112,39 @@ class CaeModel(nn.Model):
         for cin, cout in ((3, 16), (16, 32), (32, 64)):
             dec += _building_block(cin, cout, rng, dtype) + [nn.Upsample2x()]
         dec += [nn.Conv3x3(64, 3, rng, dtype), nn.BatchNorm(3, dtype), nn.Sigmoid()]
+        for up, conv in zip(dec, dec[1:]):
+            if isinstance(up, nn.Upsample2x):
+                conv.upsample = True
         self.encoder = nn.Sequential(enc)
         self.decoder = nn.Sequential(dec)
         self.config = config
         super().__init__([(f"{part}.{i}", layer)
                           for part, seq in (("encoder", self.encoder), ("decoder", self.decoder))
                           for i, layer in enumerate(seq.layers)])
+        self._steps = [layer for _, layer in self.layers
+                       if not isinstance(layer, nn.Upsample2x)]
 
     def forward(self, x, mode=nn.INFERENCE):
-        if mode == nn.INFERENCE:
-            return self._infer(self.decoder, self.encode(x))
-        return self.decoder.forward(self.encoder.forward(x, mode=mode), mode=mode)
+        return self._walk(self.decoder, self._walk(self.encoder, x, mode), mode)
 
     def encode(self, x):
         """The inference bottleneck of an NCHW batch."""
-        return self._infer(self.encoder, x)
+        return self._walk(self.encoder, x, nn.INFERENCE)
 
-    def _infer(self, seq, x):
-        """`seq`'s inference forward, each conv -> batch norm pair folded."""
-        fold, layers = self.fold(), seq.layers
+    def _walk(self, seq, x, mode):
+        """`seq`'s forward in `mode`, one step per layer except the pairs that
+        the conv step takes: upsampling -> conv always, and in inference each
+        conv -> batch norm (-> pool), folded."""
+        fold = self.fold() if mode == nn.INFERENCE else None
+        layers = seq.layers
         for i, layer in enumerate(layers):
-            if isinstance(layer, nn.Conv3x3):
+            if isinstance(layer, nn.Upsample2x):
+                continue  # done by the conv after it
+            if fold is None:
+                x = layer.forward(x, mode=mode)
+            elif isinstance(layer, nn.Conv3x3) and layer.upsample:
+                x = layer.upsampled(x, *fold[layer])
+            elif isinstance(layer, nn.Conv3x3):
                 weight, shift = fold[layer]
                 w, grid = x.shape[3], layer.grid(x, weight)
                 if isinstance(layers[i + 2], nn.MaxPool2x2):  # after the batch norm
@@ -124,18 +159,20 @@ class CaeModel(nn.Model):
         return x
 
     def _build_fold(self):
-        """conv -> (its weight scaled by s, the shift t) of each conv -> batch norm pair."""
+        """conv -> (its weight scaled by s, the shift t) of each conv -> batch
+        norm pair; an upsampling conv keeps the scaled weight's `phase_kernels`."""
         layers = [layer for _, layer in self.layers]
         fold = {}
         for conv, bn in zip(layers, layers[1:]):
             if isinstance(conv, nn.Conv3x3):
                 scale, shift = bn.scale_shift()
-                fold[conv] = (conv.weight.value * scale[:, None, None, None],
+                weight = conv.weight.value * scale[:, None, None, None]
+                fold[conv] = (nn.phase_kernels(weight) if conv.upsample else weight,
                               shift[:, None, None])
         return fold
 
     def backward(self, grad_out):
-        return self.encoder.backward(self.decoder.backward(grad_out))
+        return nn.backward_chain(self._steps, grad_out)
 
 
 def build_cae(config: CaeConfig, rng=None, dtype=nn.DTYPE) -> CaeModel:

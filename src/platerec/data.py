@@ -110,6 +110,16 @@ def _jsonl_objects(path, what, fields):
             yield lineno, obj
 
 
+def check_image_path(image_path, where=None):
+    """Raise ValueError, prefixed with `where` (a `path:line`) when given,
+    unless `image_path` is relative with no `..` part, so every image is read
+    from inside its data directory."""
+    parts = Path(image_path)
+    if parts.is_absolute() or ".." in parts.parts:
+        prefix = f"{where}: " if where else ""
+        raise ValueError(f"{prefix}image path {image_path!r} must be relative, with no '..'")
+
+
 def load_manifest(path) -> list[ReviewRecord]:
     records = []
     seen = set()
@@ -129,6 +139,8 @@ def load_manifest(path) -> list[ReviewRecord]:
             isinstance(p, str) for p in rec.image_paths
         ):
             raise ValueError(f"{path}:{lineno}: images must be a list of path strings")
+        for image_path in rec.image_paths:
+            check_image_path(image_path, f"{path}:{lineno}")
         if not 1 <= rec.stars <= 5:
             raise ValueError(f"{path}:{lineno}: stars must be in [1, 5], got {rec.stars}")
         if not rec.image_paths:
@@ -264,6 +276,7 @@ def load_split(path) -> SplitAssignment:
         for name in ("image_path", "user_id", "restaurant_id"):
             if not isinstance(getattr(row, name), str):
                 raise ValueError(f"{path}:{lineno}: {name} must be a string")
+        check_image_path(row.image_path, f"{path}:{lineno}")
         if type(row.label) is not int or row.label not in (0, 1):
             raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {row.label!r}")
         if row.origin not in SPLIT_ORIGINS:

@@ -245,12 +245,10 @@ def materialize_augmentation(split, data_dir, out_dir):
     for row in data_mod.augment_minority(split.rows_in("train")):
         if row.origin == "original":
             continue
-        source = Path(row.image_path)
-        if source.is_absolute() or ".." in source.parts:
-            raise ValueError(f"image path {row.image_path!r} must be relative, with no '..'")
+        data_mod.check_image_path(row.image_path)
         new_ref = f"augmented/{row.origin}/{row.image_path}"
         if new_ref not in written:
-            img = data_mod.read_ppm(data_dir / source)
+            img = data_mod.read_ppm(data_dir / row.image_path)
             out = data_mod.apply_transform(img, KIND_OF_ORIGIN[row.origin])
             (out_dir / new_ref).parent.mkdir(parents=True, exist_ok=True)
             data_mod.write_ppm(out, out_dir / new_ref)

@@ -11,7 +11,8 @@ Everything is a plain numpy array in float32; a float64 mode exists only
 for finite-difference gradient checking.
 
 `Layer` states the gradient contract (a backward writes its gradients, so
-no step zeroes them), `Conv3x3` explains the convolution's padded-flat
+no step zeroes them) and the cache contract (a model's backward frees each
+layer's cache once used), `Conv3x3` explains the convolution's padded-flat
 layout, `Arena` the one flat buffer that holds a model's tensors, and
 `Model.fold` the cached batch-norm fold that inference runs through.
 """
@@ -242,9 +243,9 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
     batch is skipped, as training-mode batch norm needs two rows. `validate()`
     scores the epoch, higher is better. `config` supplies `learning_rate`,
     `batch_size`, `patience` and `max_epochs`. The best-scoring weights are
-    restored at the end and the layers' training caches released; a
-    non-finite train loss or validation score raises ValueError naming the
-    epoch.
+    restored at the end; a non-finite train loss or validation score raises
+    ValueError naming the epoch. The model's backward releases the layers'
+    training caches (see `Layer`), so none outlives its step.
 
     Returns (train_loss, val_score, wall_time, best_epoch), lists per epoch.
     """
@@ -279,8 +280,6 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
             break
     if stopper.best_snapshot is not None:
         load_state(model, stopper.best_snapshot)
-    for _, layer in model.layers:
-        layer._cache = None  # the last batch's activations; a training forward refills them
     return train_loss, val_score, wall_time, stopper.best_epoch
 
 
@@ -301,6 +300,12 @@ class Layer:
     the gradients first. A model's backward runs every layer that holds a
     trainable parameter; the slots no backward writes, BatchNorm's running
     statistics, keep the zeros they were allocated with.
+
+    A layer's backward leaves its `_cache` in place, so it may run twice on
+    one forward. A model's backward (`backward_chain`, which
+    `Sequential.backward` and both models use) drops each layer's cache as
+    soon as that layer's backward has used it, so a training step frees its
+    activations as the backward pass goes and none outlives the step.
 
     A layer with weights takes the generator that draws them; with `rng` None
     its weights start at zero.
@@ -344,27 +349,80 @@ def _tap_slices(buf, h, w):
             for di in range(3) for dj in range(3)]
 
 
-def _conv_padded(buf, weight, h, w):
-    """Same-padding 3x3 cross-correlation of a padded-flat buffer -> contiguous (N, O, H, W+2).
+def _tap_sum(wtaps, taps):
+    """The sum of `wtaps[t] @ taps[t]` over (O, C) matrices and (N, C, M) tap
+    views -> contiguous (N, O, M).
 
-    Output pixels live on an H x (W+2) grid whose last two columns are slack
-    for the caller to crop. With few input channels (9*C <= O) the nine tap
-    slices are stacked into one (N, 9C, H*(W+2)) operand for a single GEMM;
-    otherwise the nine per-tap GEMMs accumulate into one output without any
-    gather copy.
+    With few input channels (k*C <= O for k taps) the taps are stacked into
+    one (N, kC, M) operand for a single GEMM; otherwise the per-tap GEMMs
+    accumulate into one output without any gather copy.
     """
+    o, c = wtaps[0].shape
+    if len(taps) * c <= o:
+        return np.matmul(np.concatenate(wtaps, axis=1), np.concatenate(taps, axis=1))
+    out = np.matmul(wtaps[0], taps[0])
+    tmp = np.empty_like(out)
+    for wt, tap in zip(wtaps[1:], taps[1:]):
+        out += np.matmul(wt, tap, out=tmp)
+    return out
+
+
+def _conv_padded(buf, weight, h, w):
+    """Same-padding 3x3 cross-correlation of a padded-flat buffer -> contiguous
+    (N, O, H, W+2), whose last two columns are slack for the caller to crop."""
     o, c = weight.shape[:2]
+    wtaps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, o, c)
+    return _tap_sum(list(wtaps), _tap_slices(buf, h, w)).reshape(buf.shape[0], o, h, w + 2)
+
+
+def _rows_to_phases(t, axis):
+    """The size-4 phase-tap axis of `phase_kernels` from a 3x3 kernel's size-3
+    `axis`: [t0, t1 + t2, t0 + t1, t2]."""
+    t0, t1, t2 = np.moveaxis(t, axis, 0)
+    return np.stack([t0, t1 + t2, t0 + t1, t2], axis=axis)
+
+
+def _phases_to_rows(t, axis):
+    """The adjoint of `_rows_to_phases`: each 3x3 kernel row sums the two
+    phase-tap rows it feeds, [t0 + t2, t1 + t2, t1 + t3]."""
+    t0, t1, t2, t3 = np.moveaxis(t, axis, 0)
+    return np.stack([t0 + t2, t1 + t2, t1 + t3], axis=axis)
+
+
+def phase_kernels(weight):
+    """The sub-pixel kernels of an (O, C, 3, 3) weight, as contiguous
+    (4, 4, O, C): [2*pi + a, 2*pj + b] is the matrix that output phase
+    (pi, pj) of an upsampling conv applies to padded tap (pi + a, pj + b) of
+    the low-resolution input, a sum of 3x3 taps (see `platerec.cae`)."""
+    taps = weight.transpose(2, 3, 0, 1)
+    return np.ascontiguousarray(_rows_to_phases(_rows_to_phases(taps, 0), 1))
+
+
+def _phase_taps(pi, pj):
+    """(phase-tap row, phase-tap column, padded tap index) of the four
+    low-resolution taps that output phase (pi, pj) reads."""
+    return [(2 * pi + a, 2 * pj + b, 3 * (pi + a) + pj + b) for a in (0, 1) for b in (0, 1)]
+
+
+def _upconv_padded(buf, kernels, h, w, shift=None):
+    """The same-padding 3x3 conv of the 2x nearest-neighbour upsampling of a
+    padded-flat (N, C, H, W) buffer -> contiguous (N, O, 2H, 2W), plus a
+    per-channel `shift` of shape (O, 1, 1) when given. Each output phase is
+    four GEMMs at the low resolution, interleaved into the output."""
     taps = _tap_slices(buf, h, w)
-    if 9 * c <= o:
-        wmat = weight.transpose(0, 2, 3, 1).reshape(o, 9 * c)
-        out = np.matmul(wmat, np.concatenate(taps, axis=1))
-    else:
-        wtaps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, o, c)
-        out = np.matmul(wtaps[0], taps[0])
-        tmp = np.empty_like(out)
-        for wt, tap in zip(wtaps[1:], taps[1:]):
-            out += np.matmul(wt, tap, out=tmp)
-    return out.reshape(buf.shape[0], o, h, w + 2)
+    n, o = buf.shape[0], kernels.shape[2]
+    out = np.empty((n, o, h, 2, w, 2), dtype=np.result_type(buf, kernels))
+    for pi in (0, 1):
+        for pj in (0, 1):
+            pairs = _phase_taps(pi, pj)
+            grid = _tap_sum([kernels[r, q] for r, q, _ in pairs],
+                            [taps[t] for _, _, t in pairs])
+            grid = grid.reshape(n, o, h, w + 2)[..., :w]
+            if shift is None:
+                out[:, :, :, pi, :, pj] = grid
+            else:
+                np.add(grid, shift, out=out[:, :, :, pi, :, pj])
+    return out.reshape(n, o, 2 * h, 2 * w)
 
 
 def _crop(grid, w):
@@ -401,9 +459,16 @@ class Conv3x3(Layer):
     A network's first conv, whose input is data and needs no gradient, has
     `input_grad` set to False, and its backward computes the weight gradient
     only and returns None.
+
+    A conv with `upsample` set convolves the 2x nearest-neighbour upsampling
+    of its input without building it: each of the four output phases is a
+    2x2 conv of the padded low-resolution input (`phase_kernels`), and
+    backward returns the low-resolution input gradient. The `platerec.cae`
+    module docstring derives it.
     """
 
     input_grad = True
+    upsample = False
 
     def __init__(self, in_channels, out_channels, rng, dtype=DTYPE):
         self.in_channels = in_channels
@@ -415,25 +480,40 @@ class Conv3x3(Layer):
     def tensors(self):
         return {"weight": self.weight}
 
-    def grid(self, x, weight, mode=INFERENCE):
-        """The conv of `x` with `weight`, this layer's or a folded one of its
-        shape, left on the uncropped (N, O, H, W+2) grid; training mode
-        caches the padded input for backward."""
+    def _padded_input(self, x, mode):
+        """(the padded-flat buffer of `x`, H, W); training mode caches them for backward."""
         _check_mode(mode)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"expected input of shape (N,{self.in_channels},H,W), got {x.shape}"
             )
         _, _, h, w = x.shape
-        buf = _pad_flat(x)
+        padded = (_pad_flat(x), h, w)
         if mode == TRAINING:
-            self._cache = (buf, h, w)
+            self._cache = padded
+        return padded
+
+    def grid(self, x, weight, mode=INFERENCE):
+        """The conv of `x` with `weight`, this layer's or a folded one of its
+        shape, left on the uncropped (N, O, H, W+2) grid."""
+        buf, h, w = self._padded_input(x, mode)
         return _conv_padded(buf, weight, h, w)
 
+    def upsampled(self, x, kernels, shift=None, mode=INFERENCE):
+        """The (N, O, 2H, 2W) conv of the 2x upsampling of `x`, given the
+        `phase_kernels` of this layer's weight or of a folded one, plus a
+        per-channel (O, 1, 1) `shift` when given."""
+        buf, h, w = self._padded_input(x, mode)
+        return _upconv_padded(buf, kernels, h, w, shift)
+
     def forward(self, x, mode=INFERENCE, rng=None):
+        if self.upsample:
+            return self.upsampled(x, phase_kernels(self.weight.value), mode=mode)
         return _crop(self.grid(x, self.weight.value, mode), x.shape[3])
 
     def backward(self, grad_out):
+        if self.upsample:
+            return self._upsampled_backward(grad_out)
         buf, h, w = self._cache
         gbuf = _pad_flat(grad_out)
         # the centre tap of the padded grad_out is grad_out on the H x (W+2)
@@ -446,6 +526,34 @@ class Conv3x3(Layer):
             return None
         flipped = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         return _crop(_conv_padded(gbuf, flipped, h, w), w)
+
+    def _upsampled_backward(self, grad_out):
+        buf, h, w = self._cache
+        n, o = grad_out.shape[:2]
+        taps = _tap_slices(buf, h, w)
+        kernels = phase_kernels(self.weight.value) if self.input_grad else None
+        # one phase of grad_out at a time, padded like the input
+        gbuf = np.zeros((n, o, (h + 2) * (w + 2) + 2), dtype=grad_out.dtype)
+        ggrid = gbuf[:, :, :(h + 2) * (w + 2)].reshape(n, o, h + 2, w + 2)
+        gtaps = _tap_slices(gbuf, h, w)
+        dk = np.empty((4, 4, o, self.in_channels), dtype=self.weight.grad.dtype)
+        grad_in = None
+        for pi in (0, 1):
+            for pj in (0, 1):
+                ggrid[:, :, 1:h + 1, 1:w + 1] = grad_out[:, :, pi::2, pj::2]
+                pairs = _phase_taps(pi, pj)
+                for r, q, t in pairs:
+                    np.matmul(gtaps[4], taps[t].transpose(0, 2, 1)).sum(axis=0, out=dk[r, q])
+                if self.input_grad:
+                    # the transposed conv reads the flipped tap of each phase-tap
+                    part = _tap_sum([kernels[r, q].T for r, q, _ in pairs],
+                                    [gtaps[8 - t] for _, _, t in pairs])
+                    grad_in = part if grad_in is None else np.add(grad_in, part, out=grad_in)
+        dw = _phases_to_rows(_phases_to_rows(dk, 0), 1)
+        np.copyto(self.weight.grad, dw.transpose(2, 3, 0, 1))
+        if not self.input_grad:
+            return None
+        return _crop(grad_in.reshape(n, self.in_channels, h, w + 2), w)
 
 
 class MaxPool2x2(Layer):
@@ -739,9 +847,16 @@ class Sequential(Layer):
         return x
 
     def backward(self, grad_out):
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
+        return backward_chain(self.layers, grad_out)
+
+
+def backward_chain(layers, grad_out):
+    """Backward through `layers`, last to first, dropping each layer's cache
+    as soon as its backward has used it (see `Layer`)."""
+    for layer in reversed(layers):
+        grad_out = layer.backward(grad_out)
+        layer._cache = None
+    return grad_out
 
 
 class Model:

@@ -189,7 +189,7 @@ class RecModel(nn.Model):
 
     def backward(self, grad_out):
         g = self.tail.backward(grad_out[:, None])
-        grads = [branch.backward(part) for branch, part
+        grads = [nn.backward_chain([branch], part) for branch, part
                  in zip(self.branches, np.split(g, len(self.branches), axis=1))]
         return grads[-1]  # the image feature's gradient
 

@@ -69,6 +69,8 @@ def test_recording_wraps_training_and_encoding_and_restores_everything():
 
     keys = {span[0] for span in recorder.spans}
     assert {"nn.Dense.bwd", "nn.Conv3x3.enc0.bwd", "nn.adam_step"} <= keys
+    # the decoder's upsampling convs still enter through Conv3x3.forward and backward
+    assert {f"nn.Conv3x3.dec{i}.{phase}" for i in (1, 2, 3) for phase in ("fwd", "bwd")} <= keys
     metrics = tracing.per_layer_metrics(recorder.spans, 1, {"cpu_util": 1.0,
                                                             "overhead_frac": 0.0})
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]

@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +205,8 @@ class TestFirstConv:
 
     def test_two_epochs_give_the_weights_of_the_full_backward(self):
         # sha256 of the weights after two epochs when every conv still computed
-        # its input gradient; this build's BLAS and numpy enter the bytes
+        # its input gradient, re-pinned when the decoder's up-convs moved to the
+        # sub-pixel form; this build's BLAS and numpy enter the bytes
         cfg = CaeConfig(input_height=8, input_width=8, batch_size=4, max_epochs=2,
                         patience=2, seed=6)
         rng = nn.make_rng(6, "cae-digest-images")
@@ -211,7 +214,49 @@ class TestFirstConv:
         model, history = train_cae(build_cae(cfg), images[:8], images[8:], cfg)
         assert len(history.train_loss) == 2
         assert hashlib.sha256(model.arena.values.tobytes()).hexdigest() == (
-            "02ada46594ba75dae5e67b34742ba7b2c5154d113088f98d8ffe7e65446656a6")
+            "b121037563559a0f58e495b1df1e1e7de7dd2d30010eb8a4af73204c95d09494")
+
+
+class TestTrainingStep:
+
+    def test_peak_memory_at_the_benchmark_shape(self):
+        # batch 32 at 32x32, as the pipeline-cae benchmark trains; the arena's
+        # buffers are memory mappings, which tracemalloc does not see, so the
+        # peak is the step's activations, caches and temporaries
+        model = build_cae(CaeConfig(seed=1))
+        x = nn.make_rng(1, "step-memory").random((32, 3, 32, 32)).astype(np.float32)
+
+        def step():
+            _, grad = nn.loss_eval(model.forward(x, mode=nn.TRAINING), x, "bce")
+            model.backward(grad)
+            nn.adam_step(model.arena, 1e-3)
+
+        step()  # allocates the gradient buffer and Adam's moments
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+
+    def test_the_walk_never_runs_an_upsampling_layer(self, monkeypatch):
+        # each Upsample2x is done by the conv after it, in training and inference
+        def refuse(*args, **kwargs):
+            raise AssertionError("Upsample2x ran")
+
+        monkeypatch.setattr(nn.Upsample2x, "forward", refuse)
+        monkeypatch.setattr(nn.Upsample2x, "backward", refuse)
+        model = build_cae(CaeConfig(input_height=8, input_width=8, seed=2))
+        ups = [i for i, layer in enumerate(model.decoder.layers)
+               if isinstance(layer, nn.Upsample2x)]
+        assert ups == [3, 7, 11]
+        assert [model.decoder.layers[i + 1].upsample for i in ups] == [True] * 3
+        x = nn.make_rng(2, "walk").random((4, 3, 8, 8)).astype(np.float32)
+        out = model.forward(x, mode=nn.TRAINING)
+        assert out.shape == x.shape
+        model.backward(np.ones_like(out))
+        assert model.forward(x).shape == x.shape
 
 
 def test_batch_encode_matches_single():
@@ -237,11 +282,22 @@ def randomize_norms(model, seed):
     model.arena.version += 1
 
 
+def plain(conv):
+    """`conv` without its upsampling: the same weight, applied at its input's resolution."""
+    out = copy.copy(conv)
+    out.upsample = False
+    return out
+
+
 def layer_by_layer(model, x):
     """(codes, reconstruction) of the inference forward run one layer at a
-    time: the form the folded inference must reproduce."""
+    time, each upsampling conv as the explicit `Upsample2x` -> conv: the form
+    the folded inference must reproduce."""
     code = model.encoder.forward(x, mode=nn.INFERENCE)
-    return code, model.decoder.forward(code, mode=nn.INFERENCE)
+    x = code
+    for layer in model.decoder.layers:
+        x = (plain(layer) if getattr(layer, "upsample", False) else layer).forward(x)
+    return code, x
 
 
 def assert_close(got, want, rel=1e-5):

@@ -54,6 +54,9 @@ VALID_MANIFEST_OBJECT = {"review_id": "r1", "user_id": "u1", "restaurant_id": "x
 VALID_SPLIT_OBJECT = {"image_path": "a.ppm", "user_id": "u1", "restaurant_id": "x", "label": 1,
                       "origin": "original", "partition": "train"}
 
+# image paths that would read from outside the data directory
+OUTSIDE_IMAGE_PATHS = ["/abs/x.ppm", "../outside.ppm", "a/../../x.ppm"]
+
 
 class TestManifest:
 
@@ -109,6 +112,21 @@ class TestManifest:
         with pytest.raises(ValueError,
                            match=f"{re.escape(str(p))}:1: timestamp must be an integer"):
             load_manifest(p)
+
+    @pytest.mark.parametrize("bad", OUTSIDE_IMAGE_PATHS)
+    def test_image_path_leaving_the_data_directory_names_the_line(self, tmp_path, bad):
+        p = tmp_path / "m.jsonl"
+        p.write_text(json.dumps(VALID_MANIFEST_OBJECT) + "\n" + json.dumps(
+            {**VALID_MANIFEST_OBJECT, "review_id": "r2", "images": ["b.ppm", bad]}) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}:2: image path "
+                                             f"{re.escape(repr(bad))} must be relative"):
+            load_manifest(p)
+
+    def test_image_paths_inside_the_data_directory_load(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        inside = ["a/b.ppm", "a/..b.ppm", "./c.ppm"]
+        p.write_text(json.dumps({**VALID_MANIFEST_OBJECT, "images": inside}) + "\n")
+        assert load_manifest(p)[0].image_paths == inside
 
     def test_null_timestamp_is_no_timestamp(self, tmp_path):
         p = tmp_path / "m.jsonl"
@@ -287,6 +305,15 @@ class TestSplitReader:
         p = tmp_path / "split.jsonl"
         p.write_text(json.dumps(VALID_SPLIT_OBJECT) + "\n" + line + "\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(p))}:2:"):
+            data.load_split(p)
+
+    @pytest.mark.parametrize("bad", OUTSIDE_IMAGE_PATHS)
+    def test_image_path_leaving_the_data_directory_names_the_line(self, tmp_path, bad):
+        p = tmp_path / "split.jsonl"
+        p.write_text(json.dumps(VALID_SPLIT_OBJECT) + "\n"
+                     + json.dumps({**VALID_SPLIT_OBJECT, "image_path": bad}) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}:2: image path "
+                                             f"{re.escape(repr(bad))} must be relative"):
             data.load_split(p)
 
     @settings(max_examples=60, deadline=None)

@@ -311,6 +311,24 @@ class TestTrainingCaches:
             assert np.all(np.isfinite(model.arena.values))
             assert not np.array_equal(model.arena.values, before)
 
+    @pytest.mark.parametrize("kind", ["cae", "rec"])
+    def test_a_model_backward_releases_every_cache(self, kind):
+        if kind == "cae":
+            model = build_cae(CaeConfig(input_height=8, input_width=8, seed=3))
+            x = nn.make_rng(3, "release").random((4, 3, 8, 8)).astype(np.float32)
+            out = model.forward(x, mode=nn.TRAINING)
+        else:
+            model = tiny_rec_model(seed=3)
+            out = model.forward(probe_batch(model.config, 3), mode=nn.TRAINING,
+                                rng=nn.make_rng(0, "drop"))
+
+        def cached():
+            return [name for name, layer in model.layers if layer._cache is not None]
+
+        assert len(cached()) > len(model.layers) // 2  # the forward filled them
+        model.backward(np.ones_like(out))
+        assert cached() == []
+
 
 def _read_checkpoint(path):
     header_line, _, payload = path.read_bytes().partition(b"\n")

@@ -136,6 +136,64 @@ class TestConv3x3:
         np.testing.assert_allclose(conv.weight.grad, gw_ref, **tol)
 
 
+def assert_relatively_close(got, want, rel=1e-5):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def upsampling_conv(cin, cout, seed, dtype=np.float32):
+    conv = nn.Conv3x3(cin, cout, rng64(seed, "upsampling-conv"), dtype=dtype)
+    conv.upsample = True
+    return conv
+
+
+class TestUpsamplingConv:
+    """A conv with `upsample` set against the explicit `Upsample2x` -> `Conv3x3`
+    composition at the decoder's shapes, in float32."""
+
+    @pytest.mark.parametrize("cin, cout, size", [(3, 16, 4), (32, 64, 8), (64, 3, 16)])
+    def test_matches_the_upsample_then_conv_composition(self, cin, cout, size):
+        rng = rng64(size, "upsampling-conv-data")
+        conv, up = upsampling_conv(cin, cout, size), nn.Upsample2x()
+        plain = nn.Conv3x3(cin, cout, None)
+        plain.weight.value[...] = conv.weight.value
+        x = rng.standard_normal((4, cin, size, size)).astype(np.float32)
+        grad_out = rng.standard_normal((4, cout, 2 * size, 2 * size)).astype(np.float32)
+
+        assert_relatively_close(conv.forward(x, mode=nn.TRAINING),
+                                plain.forward(up.forward(x), mode=nn.TRAINING))
+        assert_relatively_close(conv.backward(grad_out), up.backward(plain.backward(grad_out)))
+        assert_relatively_close(conv.weight.grad, plain.weight.grad)
+
+        # folded inference: the phase kernels of a scaled weight, plus a shift
+        scale = rng.uniform(0.5, 1.5, cout).astype(np.float32)
+        shift = rng.standard_normal((cout, 1, 1)).astype(np.float32)
+        plain.weight.value[...] = conv.weight.value * scale[:, None, None, None]
+        got = conv.upsampled(x, nn.phase_kernels(plain.weight.value), shift)
+        assert_relatively_close(got, plain.forward(up.forward(x)) + shift)
+
+    def test_phase_kernels_sum_the_taps_each_phase_reads(self):
+        weight = rng64(0, "phase-kernels").standard_normal((2, 3, 3, 3))
+        kernels = nn.phase_kernels(weight)
+        assert kernels.shape == (4, 4, 2, 3) and kernels.flags.c_contiguous
+        # phase 0 reads offset -1 with row 0 and offset 0 with rows 1 + 2; phase 1
+        # reads offset 0 with rows 0 + 1 and offset +1 with row 2
+        rows = [[0], [1, 2], [0, 1], [2]]
+        for r, q in np.ndindex(4, 4):
+            want = sum(weight[:, :, d, e] for d in rows[r] for e in rows[q])
+            np.testing.assert_allclose(kernels[r, q], want, rtol=0, atol=1e-14)
+
+    def test_a_backward_can_run_twice(self):
+        conv = upsampling_conv(2, 3, 0)
+        x = rng64(1, "twice").standard_normal((2, 2, 3, 3)).astype(np.float32)
+        grad_out = np.ones((2, 3, 6, 6), dtype=np.float32)
+        conv.forward(x, mode=nn.TRAINING)
+        first = conv.backward(grad_out), conv.weight.grad.copy()
+        second = conv.backward(grad_out), conv.weight.grad
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestMaxPool:
 
     def test_single_window(self):
@@ -634,6 +692,13 @@ class TestGradients:
         # the input gradient is a 2 -> 18 conv of grad_out, which stacks the taps
         conv = nn.Conv3x3(18, 2, rng64(seed), dtype=np.float64)
         x = rng64(seed, "x").standard_normal((1, 18, 3, 4))
+        _check(conv, x, conv.params(), 1e-4)
+
+    @pytest.mark.parametrize("cin, cout", [(2, 3), (1, 4), (8, 2)])
+    def test_upsampling_conv(self, seed, cin, cout):
+        # (1, 4) stacks each phase's four taps in forward, (8, 2) in the input gradient
+        conv = upsampling_conv(cin, cout, seed, dtype=np.float64)
+        x = rng64(seed, "x").standard_normal((2, cin, 3, 4))
         _check(conv, x, conv.params(), 1e-4)
 
     def test_dense(self, seed):
