@@ -8,28 +8,29 @@ the gradients differ only in windows whose maximum is at most 0, where both
 orders give 0. Decoder mirrors the encoder with nearest-neighbor upsampling
 and ends in a sigmoid so reconstructions stay in (0, 1).
 
-Each decoder upsampling runs with the conv after it as one step at the low
-resolution (`nn.Conv3x3.upsample`). A 2x nearest-neighbour upsampling
-followed by a 3x3 conv (a resize-convolution, Odena, Dumoulin & Olah,
-Distill 2016) is exactly a sub-pixel convolution (Shi et al.,
-arXiv:1609.05158): output row 2i + p reads low-resolution rows i - 1 + p and
-i + p only. Phase p = 0 reads row offset -1 with kernel row 0 and offset 0
-with rows 1 + 2; phase 1 reads offset 0 with rows 0 + 1 and offset +1 with
-row 2; columns follow the same rule. So each of the four output phases
-(pi, pj) is a 2x2 conv of the padded low-resolution input whose taps are
-sums of the 3x3 taps (`nn.phase_kernels`): 16 (phase, tap) GEMMs, 4/9 of
-the multiply-adds, interleaved into the output, and neither the upsampled
-tensor nor its padded copy is built. Backward computes each phase-tap's
-weight gradient against its phase of the output gradient, gives each 3x3
-tap the sum of the four it feeds, and computes the input gradient at the
-low resolution. Training builds the phase kernels every step; inference
-takes them from the fold.
+Each decoder conv after the first upsamples its own input at the low
+resolution (`nn.Conv3x3.upsample`), so the decoder holds no upsampling
+layer. A 2x nearest-neighbour upsampling followed by a 3x3 conv (a
+resize-convolution, Odena, Dumoulin & Olah, Distill 2016) is exactly a
+sub-pixel convolution (Shi et al., arXiv:1609.05158): output row 2i + p
+reads low-resolution rows i - 1 + p and i + p only. Phase p = 0 reads row
+offset -1 with kernel row 0 and offset 0 with rows 1 + 2; phase 1 reads
+offset 0 with rows 0 + 1 and offset +1 with row 2; columns follow the same
+rule. So each of the four output phases (pi, pj) is a 2x2 conv of the padded
+low-resolution input whose taps are sums of the 3x3 taps
+(`nn.phase_kernels`): 16 (phase, tap) GEMMs, 4/9 of the multiply-adds,
+interleaved into the output, and neither the upsampled tensor nor its padded
+copy is built. Backward computes each phase-tap's weight gradient against
+its phase of the output gradient, gives each 3x3 tap the sum of the four it
+feeds, and computes the input gradient at the low resolution. Training
+builds the phase kernels every step; inference takes them from the fold.
 
-Inference folds every conv -> batch norm pair (`nn.Model.fold`). A block
-that pools takes the max on the conv's uncropped (N, O, H, W+2) grid, as
-max commutes with the per-channel shift, then adds the shift and applies
-the ReLU in place on the pooled array; an upsampling block adds the shift
-while interleaving the phases, and other blocks while cropping the grid.
+Training runs the encoder and decoder layer by layer. Inference folds every
+conv -> batch norm pair (`nn.Model.fold`). A block that pools takes the max
+on the conv's uncropped (N, O, H, W+2) grid, as max commutes with the
+per-channel shift, then adds the shift and applies the ReLU in place on the
+pooled array; an upsampling block adds the shift while interleaving the
+phases, and other blocks while cropping the grid.
 """
 
 from __future__ import annotations
@@ -86,19 +87,21 @@ class TrainHistory:
     best_epoch: int
 
 
-def _building_block(cin, cout, rng, dtype, pool=False):
-    layers = [nn.Conv3x3(cin, cout, rng, dtype), nn.BatchNorm(cout, dtype)]
-    return layers + ([nn.MaxPool2x2(), nn.ReLU()] if pool else [nn.ReLU()])
+def _building_block(cin, cout, rng, dtype, pool=False, upsample=False, act=nn.ReLU):
+    conv = nn.Conv3x3(cin, cout, rng, dtype)
+    conv.upsample = upsample
+    return [conv, nn.BatchNorm(cout, dtype)] + ([nn.MaxPool2x2()] if pool else []) + [act()]
 
 
 class CaeModel(nn.Model):
-    """Encoder and decoder; their layers are named `encoder.<i>` and `decoder.<i>`.
+    """Encoder and decoder, each an `nn.Sequential` that training runs directly.
 
-    Each decoder `Upsample2x` is done by the conv after it (`Conv3x3.upsample`):
-    the model's walk takes the pair as one step and never runs the
-    upsampling's own forward or backward. The entries stay in the decoder
-    list, as their positions name the layers after them. So `encoder` and
-    `decoder` only hold the layers; `forward` and `backward` walk them.
+    Layer i of the encoder is named `encoder.<i>`. Layer k of decoder block b
+    (conv, batch norm, activation) is named `decoder.<4b + k>`, so the
+    decoder's names are 0-2, 4-6, 8-10 and 12-14: checkpoints took the
+    names when a separate upsampling layer sat at 3, 7 and 11, and the
+    positions stay unused so those checkpoints keep loading. Inference runs
+    through the fold instead (`_infer`).
 
     `rng` draws the weights; with None they start at zero, for a model that
     a checkpoint fills.
@@ -109,40 +112,33 @@ class CaeModel(nn.Model):
         for cin, cout, pool in ((3, 64, True), (64, 32, True), (32, 16, False), (16, 3, True)):
             enc += _building_block(cin, cout, rng, dtype, pool)
         enc[0].input_grad = False  # its input is the image, which takes no gradient
-        for cin, cout in ((3, 16), (16, 32), (32, 64)):
-            dec += _building_block(cin, cout, rng, dtype) + [nn.Upsample2x()]
-        dec += [nn.Conv3x3(64, 3, rng, dtype), nn.BatchNorm(3, dtype), nn.Sigmoid()]
-        for up, conv in zip(dec, dec[1:]):
-            if isinstance(up, nn.Upsample2x):
-                conv.upsample = True
+        for cin, cout, upsample, act in ((3, 16, False, nn.ReLU), (16, 32, True, nn.ReLU),
+                                         (32, 64, True, nn.ReLU), (64, 3, True, nn.Sigmoid)):
+            dec += _building_block(cin, cout, rng, dtype, upsample=upsample, act=act)
         self.encoder = nn.Sequential(enc)
         self.decoder = nn.Sequential(dec)
         self.config = config
-        super().__init__([(f"{part}.{i}", layer)
-                          for part, seq in (("encoder", self.encoder), ("decoder", self.decoder))
-                          for i, layer in enumerate(seq.layers)])
-        self._steps = [layer for _, layer in self.layers
-                       if not isinstance(layer, nn.Upsample2x)]
+        super().__init__([(f"encoder.{i}", layer) for i, layer in enumerate(enc)]
+                         + [(f"decoder.{4 * (i // 3) + i % 3}", layer)
+                            for i, layer in enumerate(dec)])
 
     def forward(self, x, mode=nn.INFERENCE):
-        return self._walk(self.decoder, self._walk(self.encoder, x, mode), mode)
+        if mode == nn.INFERENCE:
+            return self._infer(self.decoder, self._infer(self.encoder, x))
+        # any other mode is checked by the layers
+        return self.decoder.forward(self.encoder.forward(x, mode), mode)
 
     def encode(self, x):
         """The inference bottleneck of an NCHW batch."""
-        return self._walk(self.encoder, x, nn.INFERENCE)
+        return self._infer(self.encoder, x)
 
-    def _walk(self, seq, x, mode):
-        """`seq`'s forward in `mode`, one step per layer except the pairs that
-        the conv step takes: upsampling -> conv always, and in inference each
-        conv -> batch norm (-> pool), folded."""
-        fold = self.fold() if mode == nn.INFERENCE else None
+    def _infer(self, seq, x):
+        """`seq`'s inference forward through the fold: each conv -> batch norm
+        (-> pool) is one step."""
+        fold = self.fold()
         layers = seq.layers
         for i, layer in enumerate(layers):
-            if isinstance(layer, nn.Upsample2x):
-                continue  # done by the conv after it
-            if fold is None:
-                x = layer.forward(x, mode=mode)
-            elif isinstance(layer, nn.Conv3x3) and layer.upsample:
+            if isinstance(layer, nn.Conv3x3) and layer.upsample:
                 x = layer.upsampled(x, *fold[layer])
             elif isinstance(layer, nn.Conv3x3):
                 weight, shift = fold[layer]
@@ -172,7 +168,7 @@ class CaeModel(nn.Model):
         return fold
 
     def backward(self, grad_out):
-        return nn.backward_chain(self._steps, grad_out)
+        return self.encoder.backward(self.decoder.backward(grad_out))
 
 
 def build_cae(config: CaeConfig, rng=None, dtype=nn.DTYPE) -> CaeModel:

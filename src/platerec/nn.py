@@ -2,10 +2,12 @@
 
 Layers carry explicit forward/backward passes and are sufficient to build
 the convolutional autoencoder and the triad classifier: 3x3 same-padding
-convolution, 2x2 max pooling, 2x nearest-neighbor upsampling, batch
-normalization, dense, embedding lookup, ReLU/sigmoid, inverted dropout,
-He-uniform initialization, BCE/MSE losses, Adam, and `fit`, the one
-early-stopped mini-batch training loop both networks use.
+convolution, of its input or of that input's 2x nearest-neighbour
+upsampling, 2x2 max pooling, batch normalization, dense, embedding lookup,
+ReLU/sigmoid, inverted dropout, He-uniform initialization, BCE/MSE losses,
+Adam, and `fit`, the one early-stopped mini-batch training loop both
+networks use. `Upsample2x`, the plain upsampling, is the reference the
+upsampling convolution is tested against.
 
 Everything is a plain numpy array in float32; a float64 mode exists only
 for finite-difference gradient checking.
@@ -586,10 +588,9 @@ class MaxPool2x2(Layer):
 class Upsample2x(Layer):
     """Nearest-neighbor 2x upsampling; backward sums each 2x2 block.
 
-    Backward adds the four strided views of grad_out, one per block position
-    a b / c d, in the order numpy reduces the 6-D (N, C, H/2, 2, W/2, 2) view:
-    (a+b) + (c+d), or ((a+b)+c)+d at half width 1, added to numpy's starting
-    +0.0, so it is bit-identical to that reduction, signed zeros included.
+    No model is built from it: it is the reference that an upsampling
+    `Conv3x3` is tested against, which equals this layer followed by the
+    plain conv.
     """
 
     def forward(self, x, mode=INFERENCE, rng=None):
@@ -597,15 +598,8 @@ class Upsample2x(Layer):
         return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
     def backward(self, grad_out):
-        a, b, c, d = (grad_out[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
-        out = np.add(a, b)
-        if out.shape[3] == 1:
-            out += c
-            out += d
-        else:
-            out += np.add(c, d)
-        out += 0.0  # turns a -0.0 sum into +0.0, as the reduction's start value does
-        return out
+        n, c, h, w = grad_out.shape
+        return grad_out.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
 
 
 class BatchNorm(Layer):

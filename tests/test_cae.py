@@ -82,6 +82,11 @@ class TestModel:
         with pytest.raises(ValueError):
             encode_image(model, np.zeros((16, 16, 3), dtype=np.float32))
 
+    def test_unknown_mode_rejected(self):
+        model = build_cae(CaeConfig(input_height=8, input_width=8))
+        with pytest.raises(ValueError, match="unknown mode"):
+            model.forward(np.zeros((2, 3, 8, 8), dtype=np.float32), mode="train")
+
     def test_reconstruct_black_image(self):
         model = build_cae(CaeConfig())
         recon = reconstruct_image(model, np.zeros((32, 32, 3), dtype=np.float32))
@@ -241,17 +246,17 @@ class TestTrainingStep:
         assert peak < 40 * 2 ** 20
 
     def test_the_walk_never_runs_an_upsampling_layer(self, monkeypatch):
-        # each Upsample2x is done by the conv after it, in training and inference
+        # each decoder conv after the first upsamples its own input, in
+        # training and inference
         def refuse(*args, **kwargs):
             raise AssertionError("Upsample2x ran")
 
         monkeypatch.setattr(nn.Upsample2x, "forward", refuse)
         monkeypatch.setattr(nn.Upsample2x, "backward", refuse)
         model = build_cae(CaeConfig(input_height=8, input_width=8, seed=2))
-        ups = [i for i, layer in enumerate(model.decoder.layers)
-               if isinstance(layer, nn.Upsample2x)]
-        assert ups == [3, 7, 11]
-        assert [model.decoder.layers[i + 1].upsample for i in ups] == [True] * 3
+        assert not any(isinstance(layer, nn.Upsample2x) for _, layer in model.layers)
+        convs = [layer for _, layer in model.layers if isinstance(layer, nn.Conv3x3)]
+        assert [conv.upsample for conv in convs] == [False] * 5 + [True] * 3
         x = nn.make_rng(2, "walk").random((4, 3, 8, 8)).astype(np.float32)
         out = model.forward(x, mode=nn.TRAINING)
         assert out.shape == x.shape
@@ -291,12 +296,15 @@ def plain(conv):
 
 def layer_by_layer(model, x):
     """(codes, reconstruction) of the inference forward run one layer at a
-    time, each upsampling conv as the explicit `Upsample2x` -> conv: the form
-    the folded inference must reproduce."""
+    time, each upsampling conv as an explicit `Upsample2x` -> plain conv: the
+    form the folded inference must reproduce."""
     code = model.encoder.forward(x, mode=nn.INFERENCE)
     x = code
     for layer in model.decoder.layers:
-        x = (plain(layer) if getattr(layer, "upsample", False) else layer).forward(x)
+        if getattr(layer, "upsample", False):
+            x = plain(layer).forward(nn.Upsample2x().forward(x))
+        else:
+            x = layer.forward(x)
     return code, x
 
 
@@ -348,6 +356,13 @@ class TestFoldedInference:
         for i, image in enumerate(images):
             want = layer_by_layer(model, x[i:i + 1])[1][0].transpose(1, 2, 0)
             assert_close(reconstruct_image(model, image), want)
+
+    @pytest.mark.parametrize("size", [8, 32])
+    def test_the_decoder_runs_on_the_encoder_output(self, size):
+        # the two Sequentials, run in inference mode, are the model
+        model, _, x = folded_setup(size, 2, seed=6)
+        out = model.decoder.forward(model.encoder.forward(x, mode=nn.INFERENCE))
+        assert_close(out, model.forward(x))
 
     def test_codes_do_not_depend_on_batch_composition(self):
         model, images, _ = folded_setup(32, 70, seed=3)
