@@ -18,19 +18,21 @@ offset -1 with kernel row 0 and offset 0 with rows 1 + 2; phase 1 reads
 offset 0 with rows 0 + 1 and offset +1 with row 2; columns follow the same
 rule. So each of the four output phases (pi, pj) is a 2x2 conv of the padded
 low-resolution input whose taps are sums of the 3x3 taps
-(`nn.phase_kernels`): 16 (phase, tap) GEMMs, 4/9 of the multiply-adds,
-interleaved into the output, and neither the upsampled tensor nor its padded
-copy is built. Backward computes each phase-tap's weight gradient against
-its phase of the output gradient, gives each 3x3 tap the sum of the four it
-feeds, and computes the input gradient at the low resolution. Training
-builds the phase kernels every step; inference takes them from the fold.
+(`nn.conv_kernels` at scale 2): 16 (phase, tap) GEMMs, 4/9 of the
+multiply-adds, interleaved into the output, and neither the upsampled tensor
+nor its padded copy is built. A plain conv is the same code at scale 1: one
+phase of nine taps (`nn.Conv3x3`). Backward computes each phase-tap's weight
+gradient against its phase of the output gradient, gives each 3x3 tap the
+sum of the four it feeds, and computes the input gradient at the low
+resolution. Training builds the kernels every step; inference takes them
+from the fold.
 
 Training runs the encoder and decoder layer by layer. Inference folds every
 conv -> batch norm pair (`nn.Model.fold`). A block that pools takes the max
 on the conv's uncropped (N, O, H, W+2) grid, as max commutes with the
 per-channel shift, then adds the shift and applies the ReLU in place on the
-pooled array; an upsampling block adds the shift while interleaving the
-phases, and other blocks while cropping the grid.
+pooled array; every other block adds the shift while interleaving its conv's
+phases, which at scale 1 crops the one grid.
 """
 
 from __future__ import annotations
@@ -138,16 +140,14 @@ class CaeModel(nn.Model):
         fold = self.fold()
         layers = seq.layers
         for i, layer in enumerate(layers):
-            if isinstance(layer, nn.Conv3x3) and layer.upsample:
-                x = layer.upsampled(x, *fold[layer])
-            elif isinstance(layer, nn.Conv3x3):
-                weight, shift = fold[layer]
-                w, grid = x.shape[3], layer.grid(x, weight)
+            if isinstance(layer, nn.Conv3x3):
+                kernels, shift = fold[layer]
                 if isinstance(layers[i + 2], nn.MaxPool2x2):  # after the batch norm
-                    x = nn.pool_grid(grid, w)
+                    grid, = layer.grids(x, kernels)
+                    x = nn.pool_grid(grid, x.shape[3])
                     x += shift
                 else:
-                    x = np.add(grid[:, :, :, :w], shift)
+                    x = layer.apply(x, kernels, shift)
             elif isinstance(layer, nn.ReLU):
                 np.maximum(x, 0, out=x)  # x is the array the conv step made
             elif not isinstance(layer, (nn.BatchNorm, nn.MaxPool2x2)):  # done by the conv step
@@ -155,16 +155,15 @@ class CaeModel(nn.Model):
         return x
 
     def _build_fold(self):
-        """conv -> (its weight scaled by s, the shift t) of each conv -> batch
-        norm pair; an upsampling conv keeps the scaled weight's `phase_kernels`."""
+        """conv -> (the `conv_kernels` of its weight scaled by s, the shift t)
+        of each conv -> batch norm pair."""
         layers = [layer for _, layer in self.layers]
         fold = {}
         for conv, bn in zip(layers, layers[1:]):
             if isinstance(conv, nn.Conv3x3):
                 scale, shift = bn.scale_shift()
                 weight = conv.weight.value * scale[:, None, None, None]
-                fold[conv] = (nn.phase_kernels(weight) if conv.upsample else weight,
-                              shift[:, None, None])
+                fold[conv] = (nn.conv_kernels(weight, conv.scale), shift[:, None, None])
         return fold
 
     def backward(self, grad_out):

@@ -2,20 +2,20 @@
 
 Layers carry explicit forward/backward passes and are sufficient to build
 the convolutional autoencoder and the triad classifier: 3x3 same-padding
-convolution, of its input or of that input's 2x nearest-neighbour
-upsampling, 2x2 max pooling, batch normalization, dense, embedding lookup,
-ReLU/sigmoid, inverted dropout, He-uniform initialization, BCE/MSE losses,
-Adam, and `fit`, the one early-stopped mini-batch training loop both
+convolution, of its input (scale 1) or of that input's 2x nearest-neighbour
+upsampling (scale 2), 2x2 max pooling, batch normalization, dense, embedding
+lookup, ReLU/sigmoid, inverted dropout, He-uniform initialization, BCE/MSE
+losses, Adam, and `fit`, the one early-stopped mini-batch training loop both
 networks use. `Upsample2x`, the plain upsampling, is the reference the
-upsampling convolution is tested against.
+scale-2 convolution is tested against.
 
 Everything is a plain numpy array in float32; a float64 mode exists only
 for finite-difference gradient checking.
 
 `Layer` states the gradient contract (a backward writes its gradients, so
 no step zeroes them) and the cache contract (a model's backward frees each
-layer's cache once used), `Conv3x3` explains the convolution's padded-flat
-layout, `Arena` the one flat buffer that holds a model's tensors, and
+layer's cache once used), `Conv3x3` the convolution's one code path at
+both scales, `Arena` the one flat buffer that holds a model's tensors, and
 `Model.fold` the cached batch-norm fold that inference runs through.
 """
 
@@ -369,17 +369,9 @@ def _tap_sum(wtaps, taps):
     return out
 
 
-def _conv_padded(buf, weight, h, w):
-    """Same-padding 3x3 cross-correlation of a padded-flat buffer -> contiguous
-    (N, O, H, W+2), whose last two columns are slack for the caller to crop."""
-    o, c = weight.shape[:2]
-    wtaps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, o, c)
-    return _tap_sum(list(wtaps), _tap_slices(buf, h, w)).reshape(buf.shape[0], o, h, w + 2)
-
-
 def _rows_to_phases(t, axis):
-    """The size-4 phase-tap axis of `phase_kernels` from a 3x3 kernel's size-3
-    `axis`: [t0, t1 + t2, t0 + t1, t2]."""
+    """The size-4 kernel axis of `conv_kernels` at scale 2 from a 3x3 kernel's
+    size-3 `axis`: [t0, t1 + t2, t0 + t1, t2]."""
     t0, t1, t2 = np.moveaxis(t, axis, 0)
     return np.stack([t0, t1 + t2, t0 + t1, t2], axis=axis)
 
@@ -391,45 +383,33 @@ def _phases_to_rows(t, axis):
     return np.stack([t0 + t2, t1 + t2, t1 + t3], axis=axis)
 
 
-def phase_kernels(weight):
-    """The sub-pixel kernels of an (O, C, 3, 3) weight, as contiguous
-    (4, 4, O, C): [2*pi + a, 2*pj + b] is the matrix that output phase
-    (pi, pj) of an upsampling conv applies to padded tap (pi + a, pj + b) of
-    the low-resolution input, a sum of 3x3 taps (see `platerec.cae`)."""
+def conv_kernels(weight, scale):
+    """The kernels of an (O, C, 3, 3) weight at `scale`, as contiguous
+    (K, K, O, C): [r, q] is the matrix an output phase applies to one padded
+    tap (see `_phase_taps`). At scale 1 (K = 3) they are the 3x3 taps; at
+    scale 2 (K = 4) each is a sum of 3x3 taps (see `platerec.cae`)."""
     taps = weight.transpose(2, 3, 0, 1)
-    return np.ascontiguousarray(_rows_to_phases(_rows_to_phases(taps, 0), 1))
+    if scale == 2:
+        taps = _rows_to_phases(_rows_to_phases(taps, 0), 1)
+    return np.ascontiguousarray(taps)
 
 
-def _phase_taps(pi, pj):
-    """(phase-tap row, phase-tap column, padded tap index) of the four
-    low-resolution taps that output phase (pi, pj) reads."""
-    return [(2 * pi + a, 2 * pj + b, 3 * (pi + a) + pj + b) for a in (0, 1) for b in (0, 1)]
+def _phase_taps(scale, pi, pj):
+    """(kernel row, kernel column, padded tap index) of the 4 - scale by
+    4 - scale low-resolution taps that output phase (pi, pj) reads."""
+    span = range(4 - scale)
+    return [(scale * pi + a, scale * pj + b, 3 * (pi + a) + pj + b) for a in span for b in span]
 
 
-def _upconv_padded(buf, kernels, h, w, shift=None):
-    """The same-padding 3x3 conv of the 2x nearest-neighbour upsampling of a
-    padded-flat (N, C, H, W) buffer -> contiguous (N, O, 2H, 2W), plus a
-    per-channel `shift` of shape (O, 1, 1) when given. Each output phase is
-    four GEMMs at the low resolution, interleaved into the output."""
+def _phase_grids(buf, kernels, scale, h, w):
+    """Yield the conv of a padded-flat (N, C, H, W) buffer with `kernels`, one
+    output phase at a time in row-major order, each a contiguous (N, O, H, W+2)
+    grid whose last two columns are slack."""
     taps = _tap_slices(buf, h, w)
-    n, o = buf.shape[0], kernels.shape[2]
-    out = np.empty((n, o, h, 2, w, 2), dtype=np.result_type(buf, kernels))
-    for pi in (0, 1):
-        for pj in (0, 1):
-            pairs = _phase_taps(pi, pj)
-            grid = _tap_sum([kernels[r, q] for r, q, _ in pairs],
-                            [taps[t] for _, _, t in pairs])
-            grid = grid.reshape(n, o, h, w + 2)[..., :w]
-            if shift is None:
-                out[:, :, :, pi, :, pj] = grid
-            else:
-                np.add(grid, shift, out=out[:, :, :, pi, :, pj])
-    return out.reshape(n, o, 2 * h, 2 * w)
-
-
-def _crop(grid, w):
-    """A contiguous copy of the first `w` columns of an H x (W+2) output grid."""
-    return np.ascontiguousarray(grid[:, :, :, :w])
+    for pi, pj in np.ndindex(scale, scale):
+        pairs = _phase_taps(scale, pi, pj)
+        grid = _tap_sum([kernels[r, q] for r, q, _ in pairs], [taps[t] for _, _, t in pairs])
+        yield grid.reshape(buf.shape[0], kernels.shape[2], h, w + 2)
 
 
 def pool_grid(grid, w):
@@ -443,30 +423,37 @@ def pool_grid(grid, w):
 
 
 class Conv3x3(Layer):
-    """3x3 convolution (cross-correlation), stride 1, zero 'same' padding, no bias.
+    """3x3 convolution (cross-correlation), stride 1, zero 'same' padding, no
+    bias, of its input (scale 1) or, with `upsample` set, of its input's 2x
+    nearest-neighbour upsampling (scale 2), which is never built.
 
     The input is padded once into a padded-flat buffer (see `_pad_flat`) in
-    which each of the nine taps is a contiguous slice, so forward is a sum of
+    which each of the nine taps is a contiguous slice, so a conv is a sum of
     per-tap GEMMs on strided views and no im2col matrix is built ("kn2row",
-    Vasudevan, Anderson & Gregg, arXiv:1704.04428). The output lives on an
-    H x (W+2) grid whose two slack columns `forward` crops. The weight
-    gradient reuses the same slices against grad_out on the same H x (W+2)
-    grid, whose zero slack columns add nothing. The input gradient is the
-    forward routine applied to grad_out with the kernel flipped in space and
-    its input and output channels swapped. The channel counts alone decide
-    whether the nine taps are stacked into one GEMM or accumulated: forward
-    stacks them when 9 * in_channels <= out_channels, the input gradient (a
-    conv from out_channels to in_channels) when 9 * out_channels <= in_channels.
+    Vasudevan, Anderson & Gregg, arXiv:1704.04428). The output is computed
+    in scale x scale phases, phase (pi, pj) holding the output pixels
+    (scale*i + pi, scale*j + pj), each on an H x (W+2) grid of the input
+    whose two slack columns are cropped. At scale 1 the one phase reads the
+    nine padded taps with the 3x3 taps as kernels. At scale 2 each of the
+    four phases reads four taps with kernels summed from the 3x3 taps, a
+    sub-pixel convolution (Shi et al., arXiv:1609.05158) that the
+    `platerec.cae` module docstring derives. `_phase_taps` lists what a phase
+    reads and `conv_kernels` builds the kernels; `apply` interleaves the
+    phases, a crop at scale 1.
+
+    Backward takes one phase of grad_out at a time, padded like the input.
+    Each (kernel, tap) pair's weight gradient is that phase on the same
+    H x (W+2) grid against the tap, whose zero slack columns add nothing; at
+    scale 2 each 3x3 tap then sums the kernels it feeds. The input gradient
+    applies each kernel, transposed, to the flipped tap of the padded phase,
+    in ascending order of that tap, and sums the phases. The channel counts
+    and the k taps a phase reads decide whether those are stacked into one
+    GEMM or accumulated: forward stacks them when k * in_channels <=
+    out_channels, the input gradient when k * out_channels <= in_channels.
 
     A network's first conv, whose input is data and needs no gradient, has
     `input_grad` set to False, and its backward computes the weight gradient
     only and returns None.
-
-    A conv with `upsample` set convolves the 2x nearest-neighbour upsampling
-    of its input without building it: each of the four output phases is a
-    2x2 conv of the padded low-resolution input (`phase_kernels`), and
-    backward returns the low-resolution input gradient. The `platerec.cae`
-    module docstring derives it.
     """
 
     input_grad = True
@@ -479,83 +466,77 @@ class Conv3x3(Layer):
             _initial_weight((out_channels, in_channels, 3, 3), in_channels * 9, rng, dtype)
         )
 
+    @property
+    def scale(self):
+        return 2 if self.upsample else 1
+
     def tensors(self):
         return {"weight": self.weight}
 
-    def _padded_input(self, x, mode):
-        """(the padded-flat buffer of `x`, H, W); training mode caches them for backward."""
+    def grids(self, x, kernels, mode=INFERENCE):
+        """The phase grids (see `_phase_grids`) of the conv of `x` with
+        `kernels`, the `conv_kernels` of this layer's weight or of a folded
+        one of its shape; training mode caches the padded input for backward."""
         _check_mode(mode)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"expected input of shape (N,{self.in_channels},H,W), got {x.shape}"
             )
         _, _, h, w = x.shape
-        padded = (_pad_flat(x), h, w)
+        buf = _pad_flat(x)
         if mode == TRAINING:
-            self._cache = padded
-        return padded
+            self._cache = (buf, h, w)
+        return _phase_grids(buf, kernels, self.scale, h, w)
 
-    def grid(self, x, weight, mode=INFERENCE):
-        """The conv of `x` with `weight`, this layer's or a folded one of its
-        shape, left on the uncropped (N, O, H, W+2) grid."""
-        buf, h, w = self._padded_input(x, mode)
-        return _conv_padded(buf, weight, h, w)
-
-    def upsampled(self, x, kernels, shift=None, mode=INFERENCE):
-        """The (N, O, 2H, 2W) conv of the 2x upsampling of `x`, given the
-        `phase_kernels` of this layer's weight or of a folded one, plus a
-        per-channel (O, 1, 1) `shift` when given."""
-        buf, h, w = self._padded_input(x, mode)
-        return _upconv_padded(buf, kernels, h, w, shift)
+    def apply(self, x, kernels, shift=None, mode=INFERENCE):
+        """The (N, O, scale*H, scale*W) conv of `x` with `kernels` (see
+        `grids`), plus a per-channel (O, 1, 1) `shift` when given."""
+        grids = self.grids(x, kernels, mode)  # checks x before its shape is read
+        (n, _, h, w), s, o = x.shape, self.scale, kernels.shape[2]
+        for k, grid in enumerate(grids):
+            if k == 0:
+                # allocated once the first grid exists: allocated before it, the
+                # output raised a batch-32 autoencoder step's page faults by a quarter
+                out = np.empty((n, o, h, s, w, s), dtype=grid.dtype)
+            phase = out[:, :, :, k // s, :, k % s]
+            if shift is None:
+                phase[...] = grid[..., :w]
+            else:
+                np.add(grid[..., :w], shift, out=phase)
+        return out.reshape(n, o, s * h, s * w)
 
     def forward(self, x, mode=INFERENCE, rng=None):
-        if self.upsample:
-            return self.upsampled(x, phase_kernels(self.weight.value), mode=mode)
-        return _crop(self.grid(x, self.weight.value, mode), x.shape[3])
+        return self.apply(x, conv_kernels(self.weight.value, self.scale), mode=mode)
 
     def backward(self, grad_out):
-        if self.upsample:
-            return self._upsampled_backward(grad_out)
         buf, h, w = self._cache
-        gbuf = _pad_flat(grad_out)
-        # the centre tap of the padded grad_out is grad_out on the H x (W+2)
-        # grid, with zeros in the two slack columns
-        g = _tap_slices(gbuf, h, w)[4]
-        for t, tap in enumerate(_tap_slices(buf, h, w)):
-            np.matmul(g, tap.transpose(0, 2, 1)).sum(
-                axis=0, out=self.weight.grad[:, :, t // 3, t % 3])
-        if not self.input_grad:
-            return None
-        flipped = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _crop(_conv_padded(gbuf, flipped, h, w), w)
-
-    def _upsampled_backward(self, grad_out):
-        buf, h, w = self._cache
-        n, o = grad_out.shape[:2]
+        s, (n, o) = self.scale, grad_out.shape[:2]
         taps = _tap_slices(buf, h, w)
-        kernels = phase_kernels(self.weight.value) if self.input_grad else None
-        # one phase of grad_out at a time, padded like the input
+        kernels = conv_kernels(self.weight.value, s) if self.input_grad else None
         gbuf = np.zeros((n, o, (h + 2) * (w + 2) + 2), dtype=grad_out.dtype)
         ggrid = gbuf[:, :, :(h + 2) * (w + 2)].reshape(n, o, h + 2, w + 2)
+        # the centre tap of the padded phase is the phase on the H x (W+2)
+        # grid, with zeros in the two slack columns
         gtaps = _tap_slices(gbuf, h, w)
-        dk = np.empty((4, 4, o, self.in_channels), dtype=self.weight.grad.dtype)
+        size = s * (4 - s)
+        dk = np.empty((size, size, o, self.in_channels), dtype=self.weight.grad.dtype)
         grad_in = None
-        for pi in (0, 1):
-            for pj in (0, 1):
-                ggrid[:, :, 1:h + 1, 1:w + 1] = grad_out[:, :, pi::2, pj::2]
-                pairs = _phase_taps(pi, pj)
-                for r, q, t in pairs:
-                    np.matmul(gtaps[4], taps[t].transpose(0, 2, 1)).sum(axis=0, out=dk[r, q])
-                if self.input_grad:
-                    # the transposed conv reads the flipped tap of each phase-tap
-                    part = _tap_sum([kernels[r, q].T for r, q, _ in pairs],
-                                    [gtaps[8 - t] for _, _, t in pairs])
-                    grad_in = part if grad_in is None else np.add(grad_in, part, out=grad_in)
-        dw = _phases_to_rows(_phases_to_rows(dk, 0), 1)
-        np.copyto(self.weight.grad, dw.transpose(2, 3, 0, 1))
+        for pi, pj in np.ndindex(s, s):
+            ggrid[:, :, 1:h + 1, 1:w + 1] = grad_out[:, :, pi::s, pj::s]
+            pairs = _phase_taps(s, pi, pj)
+            for r, q, t in pairs:
+                np.matmul(gtaps[4], taps[t].transpose(0, 2, 1)).sum(axis=0, out=dk[r, q])
+            if self.input_grad:
+                pairs.reverse()  # summed in ascending order of the flipped tap 8 - t
+                part = _tap_sum([kernels[r, q].T for r, q, _ in pairs],
+                                [gtaps[8 - t] for _, _, t in pairs])
+                grad_in = part if grad_in is None else np.add(grad_in, part, out=grad_in)
+        if s == 2:
+            dk = _phases_to_rows(_phases_to_rows(dk, 0), 1)
+        np.copyto(self.weight.grad, dk.transpose(2, 3, 0, 1))
         if not self.input_grad:
             return None
-        return _crop(grad_in.reshape(n, self.in_channels, h, w + 2), w)
+        return np.ascontiguousarray(grad_in.reshape(n, self.in_channels, h, w + 2)[..., :w])
 
 
 class MaxPool2x2(Layer):

@@ -110,15 +110,19 @@ class TestConv3x3:
     @example(shape=(2, 3, 2, 1, 5), seed=2)   # H = 1
     @example(shape=(1, 2, 3, 4, 1), seed=3)   # W = 1
     @example(shape=(1, 10, 10, 1, 1), seed=4)
-    def test_matches_direct_loop_reference(self, shape, seed):
+    @pytest.mark.parametrize("upsample", [False, True])
+    def test_matches_direct_loop_reference(self, upsample, shape, seed):
         n, cin, cout, h, w = shape
         rng = rng64(seed)
         conv = nn.Conv3x3(cin, cout, rng, dtype=np.float64)
+        conv.upsample = upsample
         weight = conv.weight.value
         x = rng.standard_normal((n, cin, h, w))
+        s = 2 if upsample else 1
+        h, w = s * h, s * w  # the loops run on the upsampled input
         grad_out = rng.standard_normal((n, cout, h, w))
 
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        xp = np.pad(np.repeat(np.repeat(x, s, axis=2), s, axis=3), ((0, 0), (0, 0), (1, 1), (1, 1)))
         out_ref = np.zeros((n, cout, h, w))
         gw_ref = np.zeros_like(weight)
         gxp_ref = np.zeros_like(xp)
@@ -127,12 +131,14 @@ class TestConv3x3:
                 out_ref[b, o, i, j] += weight[o, c, di, dj] * xp[b, c, i + di, j + dj]
                 gw_ref[o, c, di, dj] += grad_out[b, o, i, j] * xp[b, c, i + di, j + dj]
                 gxp_ref[b, c, i + di, j + dj] += grad_out[b, o, i, j] * weight[o, c, di, dj]
+        # each input pixel's gradient sums its s x s block of the upsampled one
+        gx_ref = gxp_ref[:, :, 1:h + 1, 1:w + 1].reshape(n, cin, h // s, s, w // s, s).sum(axis=(3, 5))
 
         # float64 sums in another order; 1e-12 is a few thousand ulps of the terms
         tol = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(conv.forward(x), out_ref, **tol)
         np.testing.assert_allclose(conv.forward(x, mode=nn.TRAINING), out_ref, **tol)
-        np.testing.assert_allclose(conv.backward(grad_out), gxp_ref[:, :, 1:h + 1, 1:w + 1], **tol)
+        np.testing.assert_allclose(conv.backward(grad_out), gx_ref, **tol)
         np.testing.assert_allclose(conv.weight.grad, gw_ref, **tol)
 
 
@@ -169,27 +175,37 @@ class TestUpsamplingConv:
         scale = rng.uniform(0.5, 1.5, cout).astype(np.float32)
         shift = rng.standard_normal((cout, 1, 1)).astype(np.float32)
         plain.weight.value[...] = conv.weight.value * scale[:, None, None, None]
-        got = conv.upsampled(x, nn.phase_kernels(plain.weight.value), shift)
+        got = conv.apply(x, nn.conv_kernels(plain.weight.value, 2), shift)
         assert_relatively_close(got, plain.forward(up.forward(x)) + shift)
 
-    def test_phase_kernels_sum_the_taps_each_phase_reads(self):
+    # at scale 1 each kernel is one 3x3 tap; at scale 2 phase 0 reads offset -1
+    # with row 0 and offset 0 with rows 1 + 2, and phase 1 reads offset 0 with
+    # rows 0 + 1 and offset +1 with row 2
+    @pytest.mark.parametrize("scale, rows", [(1, [[0], [1], [2]]),
+                                             (2, [[0], [1, 2], [0, 1], [2]])])
+    def test_phase_kernels_sum_the_taps_each_phase_reads(self, scale, rows):
         weight = rng64(0, "phase-kernels").standard_normal((2, 3, 3, 3))
-        kernels = nn.phase_kernels(weight)
-        assert kernels.shape == (4, 4, 2, 3) and kernels.flags.c_contiguous
-        # phase 0 reads offset -1 with row 0 and offset 0 with rows 1 + 2; phase 1
-        # reads offset 0 with rows 0 + 1 and offset +1 with row 2
-        rows = [[0], [1, 2], [0, 1], [2]]
-        for r, q in np.ndindex(4, 4):
+        kernels = nn.conv_kernels(weight, scale)
+        k = len(rows)
+        assert kernels.shape == (k, k, 2, 3) and kernels.flags.c_contiguous
+        for r, q in np.ndindex(k, k):
             want = sum(weight[:, :, d, e] for d in rows[r] for e in rows[q])
             np.testing.assert_allclose(kernels[r, q], want, rtol=0, atol=1e-14)
 
-    def test_a_backward_can_run_twice(self):
+    @pytest.mark.parametrize("upsample", [False, True])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_a_backward_can_run_twice(self, upsample, input_grad):
         conv = upsampling_conv(2, 3, 0)
+        conv.upsample, conv.input_grad = upsample, input_grad
         x = rng64(1, "twice").standard_normal((2, 2, 3, 3)).astype(np.float32)
-        grad_out = np.ones((2, 3, 6, 6), dtype=np.float32)
+        size = 6 if upsample else 3
+        grad_out = np.ones((2, 3, size, size), dtype=np.float32)
         conv.forward(x, mode=nn.TRAINING)
         first = conv.backward(grad_out), conv.weight.grad.copy()
         second = conv.backward(grad_out), conv.weight.grad
+        if not input_grad:
+            assert first[0] is None and second[0] is None
+            first, second = first[1:], second[1:]
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
