@@ -3,6 +3,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -631,6 +632,44 @@ class TestPipeline:
         assert "1RB" in table and "2RB" in table
         assert (tmp_path / "abl" / "rec_1rb.ckpt").exists()
         assert (tmp_path / "abl" / "rec_2rb.ckpt").exists()
+
+
+# sha256 of one small fixed-seed `run_experiment` per feature source: the report's
+# metrics, the split, the augmented split, the feature file and the checkpoints.
+# A change that claims to keep the numerics passes these unedited; one that moves
+# them re-pins and names the old and new digests. This build's BLAS and numpy
+# enter the bytes.
+GOLDEN_RUN_SHA256 = {
+    "cae": "177d165c5ec696779a496d5d28c79123db6a8b4e661a614f3d5bb4bc55bfffe7",
+    "random-projection": "78c07f7d4783d60b6565d3e1dac7a8c5b5648346f2ce777b73e6249ae2d4d1da",
+}
+GOLDEN_RUN_ARTIFACTS = {
+    "cae": ("split.jsonl", "augmented_split.jsonl", "features.txt", "cae.ckpt", "rec.ckpt"),
+    "random-projection": ("split.jsonl", "augmented_split.jsonl", "features.txt", "rec.ckpt"),
+}
+
+
+class TestGoldenRun:
+
+    @pytest.mark.parametrize("source", sorted(GOLDEN_RUN_SHA256))
+    def test_run_outputs_are_pinned(self, source, tmp_path):
+        # eight one-image reviews per user, so the validation partition holds both
+        # classes; images stored at twice the model size, so every load resizes
+        generate_synthetic(SynthConfig(n_users=24, n_restaurants=6, reviews_per_user=(8, 8),
+                                       images_per_review=(1, 1), image_size=32, seed=5),
+                           tmp_path / "data")
+        config = harness.ExperimentConfig(
+            data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"), image_size=16,
+            seed=5, feature_source=source, cae_max_epochs=2, cae_patience=2,
+            rec_max_epochs=3, rec_patience=3, embed_dim=8,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = harness.run_experiment(config)
+        digest = hashlib.sha256(json.dumps(report.to_dict()["metrics"], sort_keys=True).encode())
+        for name in GOLDEN_RUN_ARTIFACTS[source]:
+            digest.update(name.encode() + b"\0" + (tmp_path / "out" / name).read_bytes())
+        assert digest.hexdigest() == GOLDEN_RUN_SHA256[source]
 
 
 @pytest.fixture(scope="module")
