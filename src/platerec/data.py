@@ -350,6 +350,8 @@ def write_ppm(image, path):
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected H x W x 3 image, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise ValueError(f"{path}: image holds non-finite pixels")
     h, w = image.shape[:2]
     u8 = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
@@ -418,11 +420,25 @@ def _resize_plan(h, w, height, width):
 
 
 def resize_image(image, height, width):
-    """Bilinear resize to height x width (pixel-center alignment)."""
+    """Bilinear resize of an H x W x C image to height x width (pixel-center alignment).
+
+    An exact 2x downscale puts every weight at 0.5, so it sums the four strided
+    pixel grids in float64, in the gather's order, and scales by 0.25 once: a
+    power-of-two scale commutes with float64 rounding here, so the bytes are the
+    gather's. Other ratios gather through a cached plan.
+    """
     if height < 1 or width < 1:
         raise ValueError("target dimensions must be positive")
     image = np.asarray(image, dtype=np.float32)
+    if image.ndim != 3 or image.shape[0] < 1 or image.shape[1] < 1:
+        raise ValueError(f"expected an H x W x C image with H, W >= 1, got shape {image.shape}")
     h, w = image.shape[:2]
+    if (h, w) == (2 * height, 2 * width):
+        out = np.add(image[0::2, 0::2], image[0::2, 1::2], dtype=np.float64)
+        out += image[1::2, 0::2]
+        out += image[1::2, 1::2]
+        out *= 0.25
+        return out.astype(np.float32)
     y0, x0, y1, x1, fy, fx, gy, gx = _resize_plan(h, w, height, width)
     # gy = 1 - fy and gx = 1 - fx; the float64 expression and its order are fixed
     out = (

@@ -416,6 +416,15 @@ class TestPpm:
         write_ppm(np.ones((1, 1, 3), dtype=np.float32), p)
         assert p.read_bytes() == b"P6\n1 1\n255\n\xff\xff\xff"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_names_the_path(self, tmp_path, value):
+        img = np.full((2, 3, 3), 0.5, dtype=np.float32)
+        img[1, 2, 0] = value
+        p = tmp_path / "n.ppm"
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: image holds non-finite"):
+            write_ppm(img, p)
+        assert not p.exists()
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "t.ppm"
         p.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
@@ -479,15 +488,53 @@ def _resize_expression(image, height, width):
     return out.astype(np.float32)
 
 
+_RESIZE_PLAN = data._resize_plan
+
+
 class TestResize:
 
     @pytest.mark.parametrize("src, dst", [((64, 64), (32, 32)), ((8, 8), (32, 32)),
                                           ((20, 37), (32, 13)), ((5, 9), (11, 3)),
-                                          ((1, 1), (4, 6)), ((7, 3), (1, 1))])
+                                          ((1, 1), (4, 6)), ((7, 3), (1, 1)),
+                                          ((2, 2), (1, 1)), ((64, 20), (32, 10)),
+                                          ((10, 64), (5, 32))])
     def test_bytes_are_the_expression_s(self, src, dst):
         img = np.random.default_rng(7).random((*src, 3)).astype(np.float32)
         for _ in range(2):  # the second call reads the cached plan
             assert resize_image(img, *dst).tobytes() == _resize_expression(img, *dst).tobytes()
+
+    @pytest.mark.parametrize("src, dst, gathers", [((64, 64), (32, 32), False),
+                                                   ((65, 64), (32, 32), True),
+                                                   ((64, 64), (32, 31), True)])
+    def test_only_an_exact_2x_skips_the_gather(self, src, dst, gathers, monkeypatch):
+        plans = []
+        monkeypatch.setattr(data, "_resize_plan",
+                            lambda *shapes: plans.append(shapes) or _RESIZE_PLAN(*shapes))
+        img = np.random.default_rng(3).random((*src, 3)).astype(np.float32)
+        assert resize_image(img, *dst).tobytes() == _resize_expression(img, *dst).tobytes()
+        assert plans == ([(*src, *dst)] if gathers else [])
+
+    @settings(max_examples=80, deadline=None)
+    @given(half=st.tuples(st.integers(1, 20), st.integers(1, 20)), channels=st.integers(1, 4),
+           content=st.sampled_from(["u8", "extreme"]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 16))
+    def test_2x_bytes_are_the_expression_s(self, half, channels, content, dtype, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2 * half[0], 2 * half[1], channels)
+        if content == "u8":  # the values read_ppm returns
+            img = rng.integers(0, 256, shape).astype(np.float32) / 255.0
+        else:  # magnitudes from subnormal to near float32's largest, each with its
+            # negative, so that exact cancellations make the summation order show
+            pool = (rng.uniform(1, 3, 4)
+                    * 10.0 ** rng.choice([-44, -30, 0, 30, 37], 4)).astype(np.float32)
+            img = rng.choice(np.concatenate([pool, -pool]), shape)
+        img = img.astype(dtype)
+        assert resize_image(img, *half).tobytes() == _resize_expression(img, *half).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 4), (0, 4, 3), (4, 0, 3), (2, 4, 4, 3)])
+    def test_input_that_is_not_h_w_c_rejected(self, shape):
+        with pytest.raises(ValueError, match="H x W x C"):
+            resize_image(np.zeros(shape, dtype=np.float32), 2, 2)
 
     def test_cached_arrays_are_read_only(self):
         img = np.zeros((12, 10, 3), dtype=np.float32)
