@@ -537,9 +537,13 @@ class TestResize:
 
     def test_cached_arrays_are_read_only(self):
         img = np.zeros((12, 10, 3), dtype=np.float32)
-        resize_image(img, 6, 5)
-        plan = data._resize_plan(12, 10, 6, 5)
-        assert plan is data._resize_plan(12, 10, 6, 5)
+        data._resize_plan.cache_clear()
+        resize_image(img, 5, 4)  # not an exact 2x, so the call builds the plan
+        info = data._resize_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+        plan = data._resize_plan(12, 10, 5, 4)
+        assert data._resize_plan.cache_info().hits == 1
+        assert plan is data._resize_plan(12, 10, 5, 4)
         for arr in plan:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

@@ -640,8 +640,8 @@ class TestPipeline:
 # them re-pins and names the old and new digests. This build's BLAS and numpy
 # enter the bytes.
 GOLDEN_RUN_SHA256 = {
-    "cae": "177d165c5ec696779a496d5d28c79123db6a8b4e661a614f3d5bb4bc55bfffe7",
-    "random-projection": "78c07f7d4783d60b6565d3e1dac7a8c5b5648346f2ce777b73e6249ae2d4d1da",
+    "cae": "c31f0dd50fc0e4b33b1c7f31dbd9d06a7db9094817be5ad5bb28796e19d01c14",
+    "random-projection": "933e345ec7b332126835f3cd01ef3672f057f641cb3ab0760a9bec5518021e88",
 }
 GOLDEN_RUN_ARTIFACTS = {
     "cae": ("split.jsonl", "augmented_split.jsonl", "features.txt", "cae.ckpt", "rec.ckpt"),

@@ -570,9 +570,34 @@ class TestAdam:
             nn.adam_step(arena, lr=0.05)
         assert abs(p.value[0]) < 0.01
 
-    def test_invalid_lr(self):
+    @pytest.mark.parametrize("lr", [0.0, -0.01, float("inf"), float("nan")])
+    def test_invalid_lr(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=lr)
+
+    @pytest.mark.parametrize("beta1", [-0.1, 1.0, 1.5, float("nan")])
+    def test_invalid_beta1(self, beta1):
+        with pytest.raises(ValueError, match="beta1"):
+            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=0.01, beta1=beta1)
+
+    @pytest.mark.parametrize("beta2", [-0.1, 1.0, 1.5, float("nan")])
+    def test_invalid_beta2(self, beta2):
+        with pytest.raises(ValueError, match="beta2"):
+            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=0.01, beta2=beta2)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("inf"), float("nan")])
+    def test_invalid_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=0.01, eps=eps)
+
+    def test_invalid_arguments_leave_the_arena_untouched(self):
+        p = nn.Parameter(np.ones(3))
+        arena = nn.Arena([p])
+        p.grad[...] = 1.0
         with pytest.raises(ValueError):
-            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=0.0)
+            nn.adam_step(arena, lr=0.01, beta2=1.0)
+        assert arena.step_count == 0 and arena.adam_m is None
+        assert np.array_equal(p.value, np.ones(3))
 
     def test_grads_untouched(self):
         p = nn.Parameter(np.array([1.0]))
@@ -586,11 +611,30 @@ class TestAdam:
     # straddles the second.
     ADAM_SHAPES = [(3,), (7, 5), (300, 250), (2,), (4, 3, 3, 3), (200, 300), (33,)]
 
-    def test_bit_identical_to_reference_formula(self):
+    def test_bit_identical_to_folded_reference(self):
         for dtype in (np.float32, np.float64):
-            self.check_against_reference(dtype)
+            live, arena, ref = self.run_against(_adam_folded_reference, dtype)
+            for p, q in zip(live, ref):
+                assert np.array_equal(p.value, q.value)
+            assert np.array_equal(arena.adam_m, np.concatenate([q.adam_m.ravel() for q in ref]))
+            assert np.array_equal(arena.adam_v, np.concatenate([q.adam_v.ravel() for q in ref]))
 
-    def check_against_reference(self, dtype):
+    @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-13), (np.float32, 1e-6)])
+    def test_close_to_textbook_formula(self, dtype, rel):
+        live, arena, ref = self.run_against(_adam_reference, dtype)
+        m = arena.adam_m * (1.0 - 0.9)
+        v = arena.adam_v * (1.0 - 0.999)
+        start = 0
+        for p, q in zip(live, ref):
+            span = slice(start, start + p.value.size)
+            start = span.stop
+            for got, want in ((p.value, q.value), (m[span], q.adam_m), (v[span], q.adam_v)):
+                scale = np.abs(want).max()
+                assert np.abs(got.ravel() - want.ravel()).max() <= rel * scale
+
+    def run_against(self, reference, dtype):
+        """30 steps of `adam_step` over one arena and of `reference` over
+        per-tensor copies, from the same values and gradients."""
         rng = nn.make_rng(0, "adam-ref")
         values = [rng.normal(size=shape).astype(dtype) for shape in self.ADAM_SHAPES]
         live = [nn.Parameter(value.copy()) for value in values]
@@ -604,19 +648,18 @@ class TestAdam:
                 p.grad[...] = g
                 q.grad = g
             nn.adam_step(arena, lr=0.003)
-            _adam_reference(ref, lr=0.003)
+            reference(ref, lr=0.003)
             for p, g in zip(live, grads):
                 assert np.array_equal(p.grad, g)
         for p, q in zip(live, ref):
-            assert p.value.dtype == q.value.dtype == dtype
+            assert p.value.dtype == q.value.dtype == q.adam_m.dtype == dtype
             assert np.shares_memory(p.value, arena.values)
-            assert np.array_equal(p.value, q.value)
-        assert np.array_equal(arena.adam_m, np.concatenate([q.adam_m.ravel() for q in ref]))
-        assert np.array_equal(arena.adam_v, np.concatenate([q.adam_v.ravel() for q in ref]))
+        assert arena.adam_m.dtype == arena.adam_v.dtype == dtype
         assert arena.step_count == 30
         assert all(q.step_count == 30 for q in ref)
+        return live, arena, ref
 
-    def test_temporary_memory_is_two_scratch_buffers(self):
+    def test_temporary_memory_is_one_scratch_buffer(self):
         p = nn.Parameter(np.ones((1024, 1024), dtype=np.float32))
         arena = nn.Arena([p])
         p.grad[...] = nn.make_rng(1, "adam-mem").normal(size=p.shape)
@@ -627,8 +670,8 @@ class TestAdam:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two scratch chunks; the slack covers the chunk loop's view objects
-        assert peak <= 2 * nn.ADAM_CHUNK * p.value.itemsize + 4096
+        # one scratch chunk; the slack covers the chunk loop's view objects
+        assert peak <= nn.ADAM_CHUNK * p.value.itemsize + 4096
 
 
 class _AdamReference:
@@ -643,7 +686,7 @@ class _AdamReference:
 
 
 def _adam_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The allocating textbook Adam step that `nn.adam_step` must match bit for bit."""
+    """The allocating textbook Adam step, which `nn.adam_step` must stay close to."""
     for p in params:
         p.step_count += 1
         t = p.step_count
@@ -652,6 +695,20 @@ def _adam_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         m_hat = p.adam_m / (1.0 - beta1 ** t)
         v_hat = p.adam_v / (1.0 - beta2 ** t)
         p.value -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.value.dtype)
+
+
+def _adam_folded_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The allocating folded Adam step of `nn.adam_step`'s docstring, tensor by
+    tensor: the same operations in the same order, so it must match bit for bit."""
+    for p in params:
+        p.step_count += 1
+        t = p.step_count
+        r = ((1.0 - beta2 ** t) / (1.0 - beta2)) ** 0.5
+        step = lr * (1.0 - beta1) / (1.0 - beta1 ** t) * r
+        eps_hat = eps * r
+        p.adam_m[...] = beta1 * p.adam_m + p.grad
+        p.adam_v[...] = beta2 * p.adam_v + p.grad * p.grad
+        p.value -= (p.adam_m / (np.sqrt(p.adam_v) + eps_hat)) * step
 
 
 # ---------------------------------------------------------------------------
