@@ -134,9 +134,10 @@ class Arena:
     becomes a view into it. `grad`, `adam_m` and `adam_v` have the same
     layout and stay None until training first needs them (a backward pass
     or `adam_step`), so a model that only runs forward holds its weights and
-    nothing else. `adam_m` and `adam_v` hold Adam's moments divided by
-    (1-beta1) and (1-beta2), the scale `adam_step` updates them in. Packing happens once, when the model is built: it copies
-    the values in and drops any gradient a parameter held on its own.
+    nothing else; `adam_m` and `adam_v` hold Adam's moments divided by
+    (1-beta1) and (1-beta2), the scale `adam_step` works in. Packing happens
+    once, when the model is built: it copies the values in and drops any
+    gradient a parameter held on its own.
 
     `version` counts the library's writes to `values`; `Model.fold` names
     the writers and keys its cache on it.
@@ -210,12 +211,12 @@ def adam_step(arena, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
     The arena is walked in chunks of ADAM_CHUNK values, all ten operations
     on one chunk before the next, in one scratch chunk allocated per call;
-    the moments are allocated on the first call. The textbook order, which
-    this step once kept so that its values matched that form bit for bit,
-    took 14 passes, three of them divides, and two scratch chunks. The folded
-    form moves only the last bits (float32 values stay within 1e-6 of each
-    tensor's largest after 30 steps), and Adam was the largest single cost
-    of a classifier pass, so the bits gave way.
+    the moments are allocated on the first call. The textbook order, kept
+    earlier so that the values matched that form bit for bit, took 14
+    passes, three of them divides, and two scratch chunks. Adam was the
+    largest single cost of a classifier pass, and the folded form moves
+    only the last bits (float32 values stay within 1e-6 of each tensor's
+    largest after 30 steps), so the bit-for-bit match is given up.
 
     `step` and `eps_hat` must stay Python floats: a NumPy float64 scalar
     would make NumPy compute each float32 chunk in float64 (NEP 50).
