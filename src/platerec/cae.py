@@ -33,6 +33,14 @@ on the conv's uncropped (N, O, H, W+2) grid, as max commutes with the
 per-channel shift, then adds the shift and applies the ReLU in place on the
 pooled array; every other block adds the shift while interleaving its conv's
 phases, which at scale 1 crops the one grid.
+
+Inference runs over consecutive blocks of at most `images_per_block` images
+and writes each block's result into one output (loop blocking, Lam, Rothberg
+& Wolf, ASPLOS 1991), so its temporaries stay near INFER_BLOCK_BYTES however
+large the batch. Every folded step computes each image from that image
+alone (the conv GEMMs are per image, the shift, pool and ReLU elementwise),
+so the bytes do not depend on the block. Training is not blocked: its batch
+norm takes statistics over the whole batch.
 """
 
 from __future__ import annotations
@@ -42,6 +50,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+
+# Bytes of the widest folded grid in one block of `CaeModel`'s inference: the
+# first conv's 64 x H x (W+2) grid, sized so that a block's temporaries stay
+# within a few MiB, near the last-level cache, instead of growing with the
+# caller's batch (830 MB for 64 images at 224x224).
+INFER_BLOCK_BYTES = 4 * 2 ** 20
+
+
+def images_per_block(height, width, itemsize):
+    """Images per block of `CaeModel`'s inference at `height` x `width`: as many
+    first-conv grids of `itemsize`-byte values as fit INFER_BLOCK_BYTES, at least one."""
+    return max(1, INFER_BLOCK_BYTES // (64 * height * (width + 2) * itemsize))
+
+
+def _in_blocks(fn, x, block):
+    """`fn` of x, run over consecutive blocks of at most `block` images and
+    written into one output; a batch of at most one block (an empty one too)
+    is one call."""
+    n = len(x)
+    if n <= block:
+        return fn(x)
+    out = None
+    for start in range(0, n, block):
+        part = fn(x[start:start + block])
+        if out is None:
+            out = np.empty((n,) + part.shape[1:], part.dtype)
+        out[start:start + len(part)] = part
+    return out
 
 
 @dataclass
@@ -126,13 +162,21 @@ class CaeModel(nn.Model):
 
     def forward(self, x, mode=nn.INFERENCE):
         if mode == nn.INFERENCE:
-            return self._infer(self.decoder, self._infer(self.encoder, x))
+            return self._blocked(x, lambda b: self._infer(self.decoder, self._infer(self.encoder, b)))
         # any other mode is checked by the layers
         return self.decoder.forward(self.encoder.forward(x, mode), mode)
 
     def encode(self, x):
         """The inference bottleneck of an NCHW batch."""
-        return self._infer(self.encoder, x)
+        return self._blocked(x, lambda b: self._infer(self.encoder, b))
+
+    def _blocked(self, x, infer):
+        """`infer` of the NCHW batch x in blocks of `images_per_block` images
+        (any other shape in one call, for the first conv to reject)."""
+        if x.ndim != 4:
+            return infer(x)
+        itemsize = np.result_type(x.dtype, self.arena.values.dtype).itemsize
+        return _in_blocks(infer, x, images_per_block(x.shape[2], x.shape[3], itemsize))
 
     def _infer(self, seq, x):
         """`seq`'s inference forward through the fold: each conv -> batch norm
@@ -177,8 +221,11 @@ def build_cae(config: CaeConfig, rng=None, dtype=nn.DTYPE) -> CaeModel:
 
 
 def _as_batch(images, config):
-    """HWC image stack -> NCHW float array, validating dimensions."""
+    """HWC image stack -> NCHW float array, validating dimensions; an empty
+    stack is an empty batch."""
     arr = np.asarray(images, dtype=np.float32)
+    if arr.size == 0 and arr.ndim == 1:
+        arr = arr.reshape(0, config.input_height, config.input_width, 3)
     if arr.ndim == 3:
         arr = arr[None]
     if arr.ndim != 4 or arr.shape[1:] != (config.input_height, config.input_width, 3):
@@ -216,10 +263,16 @@ def evaluate_loss(model: CaeModel, x_nchw, config: CaeConfig, batch_size=64):
 
 
 def encode_images(model: CaeModel, images, batch_size=64):
-    """Flattened bottleneck codes (inference mode), one row per image."""
-    x = _as_batch(images, model.config)
-    codes = [model.encode(x[start:start + batch_size]) for start in range(0, len(x), batch_size)]
-    return np.concatenate([code.reshape(len(code), -1) for code in codes])
+    """Flattened bottleneck codes (inference mode), one row per image, encoded
+    `batch_size` images at a time; no images give a (0, code_length) array.
+
+    `model.encode` splits each batch further into byte-budgeted blocks (see
+    INFER_BLOCK_BYTES); as each image's code is computed from that image
+    alone, neither `batch_size` nor the block changes a byte of it.
+    """
+    code_length = model.config.code_length
+    return _in_blocks(lambda b: model.encode(b).reshape(len(b), code_length),
+                      _as_batch(images, model.config), batch_size)
 
 
 def encode_image(model: CaeModel, image):

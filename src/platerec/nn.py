@@ -912,10 +912,13 @@ def snapshot_state(model, out=None):
 
 
 def load_state(model, snapshot):
-    """Copy a `snapshot_state` copy back into the model's arena."""
+    """Copy a `snapshot_state` copy back into the model's arena; a snapshot of
+    another length or dtype is rejected before anything is written."""
     values = model.arena.values
     if snapshot.shape != values.shape:
         raise ValueError(f"snapshot holds {snapshot.size} values, the model {values.size}")
+    if snapshot.dtype != values.dtype:
+        raise ValueError(f"snapshot holds {snapshot.dtype} values, the model {values.dtype}")
     values[...] = snapshot
     model.arena.version += 1
 

@@ -189,8 +189,9 @@ class RecModel(nn.Model):
 
     def backward(self, grad_out):
         g = self.tail.backward(grad_out[:, None])
-        grads = [nn.backward_chain([branch], part) for branch, part
-                 in zip(self.branches, np.split(g, len(self.branches), axis=1))]
+        d = self.config.embed_dim  # each branch's d columns, as views
+        grads = [nn.backward_chain([branch], g[:, k * d:(k + 1) * d])
+                 for k, branch in enumerate(self.branches)]
         return grads[-1]  # the image feature's gradient
 
 

@@ -14,8 +14,8 @@ import platerec
 from conftest import named_views
 from platerec import harness, nn
 from platerec.cae import (
-    CaeConfig, CaeModel, _as_batch, build_cae, encode_image, encode_images, evaluate_loss,
-    reconstruct_image, train_cae,
+    INFER_BLOCK_BYTES, CaeConfig, CaeModel, _as_batch, build_cae, encode_image, encode_images,
+    evaluate_loss, images_per_block, reconstruct_image, train_cae,
 )
 
 
@@ -374,6 +374,68 @@ class TestFoldedInference:
         order = nn.make_rng(3, "cae-fold-order").permutation(70)
         assert np.array_equal(encode_images(model, [images[i] for i in order]), whole[order])
         assert np.array_equal(encode_images(model, images[10:20]), whole[10:20])
+
+
+class TestBlockedInference:
+    """Inference runs in blocks of `images_per_block` images, written into one output."""
+
+    def test_images_per_block(self):
+        assert images_per_block(32, 32, 4) == 15
+        assert images_per_block(224, 224, 4) == 1
+        assert images_per_block(32, 32, 8) == 7
+        # the widest grid of a block fits the budget
+        assert 15 * 64 * 32 * 34 * 4 <= INFER_BLOCK_BYTES < 16 * 64 * 32 * 34 * 4
+
+    def test_peak_memory_beyond_the_output_is_one_block(self):
+        # one batch's first-conv grid alone was 17.8 MB at 64 images
+        model, _, x = folded_setup(32, 200, seed=7)
+        beyond = {}
+        for name in ("encode", "forward"):
+            run = getattr(model, name)
+            run(x[:2])  # builds the fold
+            for n in (64, 200):
+                tracemalloc.start()
+                try:
+                    out = run(x[:n])
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                beyond[name, n] = peak - out.nbytes
+                assert beyond[name, n] < 10 * 2 ** 20, (name, n)
+            assert abs(beyond[name, 200] - beyond[name, 64]) < 2 ** 20, name
+
+    def test_blocks_equal_the_per_image_results(self):
+        block = images_per_block(32, 32, 4)
+        model, _, x = folded_setup(32, 4 * block + 5, seed=8)
+        codes = [model.encode(x[i:i + 1]) for i in range(len(x))]
+        recons = [model.forward(x[i:i + 1]) for i in range(len(x))]
+        for n in (1, block - 1, block, block + 1, 4 * block + 5):
+            assert np.array_equal(model.encode(x[:n]), np.concatenate(codes[:n])), n
+            assert np.array_equal(model.forward(x[:n]), np.concatenate(recons[:n])), n
+
+    def test_the_training_forward_is_not_blocked(self, monkeypatch):
+        # its batch norm takes statistics over the whole batch
+        model, _, x = folded_setup(8, 2 * images_per_block(8, 8, 4) + 1, seed=9)
+        seen = []
+        forward = nn.Conv3x3.forward
+
+        def recording(conv, inp, mode=nn.INFERENCE, rng=None):
+            seen.append(len(inp))
+            return forward(conv, inp, mode, rng)
+
+        monkeypatch.setattr(nn.Conv3x3, "forward", recording)
+        model.forward(x, mode=nn.TRAINING)
+        assert seen == [len(x)] * 8
+
+    def test_an_empty_image_list_is_an_empty_batch(self):
+        cfg = CaeConfig(input_height=16, input_width=8)
+        model = build_cae(cfg)
+        x = _as_batch([], cfg)
+        assert x.shape == (0, 3, 16, 8) and x.dtype == np.float32
+        codes = encode_images(model, [])
+        assert codes.shape == (0, cfg.code_length) and codes.dtype == np.float32
+        assert model.encode(x).shape == (0,) + cfg.code_shape
+        assert model.forward(x).shape == x.shape
 
 
 class TestFoldCache:

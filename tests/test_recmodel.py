@@ -375,6 +375,17 @@ class TestArena:
                 nn.load_state(model, wrong)
         assert np.array_equal(model.arena.values, snapshot)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_load_state_rejects_a_snapshot_of_another_dtype(self, dtype):
+        model = build_recommender(self.cfg())
+        before = nn.snapshot_state(model)
+        version = model.arena.version
+        wrong = np.ones(before.shape, dtype)
+        with pytest.raises(ValueError, match=f"{np.dtype(dtype)} values, the model float32"):
+            nn.load_state(model, wrong)
+        assert np.array_equal(model.arena.values, before)
+        assert model.arena.version == version
+
 
 def layer_by_layer(model, batch):
     """The inference forward run one layer at a time, the form the factorized
