@@ -162,7 +162,8 @@ class CaeModel(nn.Model):
 
     def forward(self, x, mode=nn.INFERENCE):
         if mode == nn.INFERENCE:
-            return self._blocked(x, lambda b: self._infer(self.decoder, self._infer(self.encoder, b)))
+            return self._blocked(
+                x, lambda b: self._infer(self.decoder, self._infer(self.encoder, b)))
         # any other mode is checked by the layers
         return self.decoder.forward(self.encoder.forward(x, mode), mode)
 
