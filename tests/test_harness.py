@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 import tempfile
@@ -768,3 +769,164 @@ class TestCli:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err != ""
+
+
+class _Captured(Exception):
+    """Raised by a stubbed entry point once it has recorded its arguments."""
+
+
+def _capture(monkeypatch, module, name):
+    """Replace `module.name` with a stub that records each call's arguments and
+    stops the command; the command then fails, so `cli.main` returns 1."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Captured
+
+    monkeypatch.setattr(module, name, stub)
+    return calls
+
+
+def _handed(monkeypatch, module, name, argv):
+    """The positional arguments `cli.main(argv)` hands to `module.name`."""
+    calls = _capture(monkeypatch, module, name)
+    assert cli.main(argv) == 1
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _split_sizes(run_out):
+    """(n_users, n_restaurants, image_feature_dim) of a run's augmented split."""
+    split = load_split(run_out / "augmented_split.jsonl")
+    features = load_feature_file(run_out / "features.txt")
+    return (len(split.user_index), len(split.restaurant_index),
+            len(next(iter(features.values()))))
+
+
+class TestCliConfigs:
+    """The config each command hands to its entry point: the dataclass's defaults
+    when only the required flags are given, and each flag's value otherwise."""
+
+    def test_synth(self, tmp_path, monkeypatch):
+        from platerec import data
+        out = str(tmp_path / "data")
+        (config, where), _ = _handed(monkeypatch, data, "generate_synthetic",
+                                     ["synth", "--out", out])
+        assert (config, where) == (SynthConfig(), out)
+        (config, _), _ = _handed(monkeypatch, data, "generate_synthetic", [
+            "synth", "--users", "7", "--restaurants", "3", "--ratio", "2.5",
+            "--signal", "0.5", "--size", "16", "--seed", "9", "--out", out])
+        assert config == SynthConfig(n_users=7, n_restaurants=3, target_ratio=2.5,
+                                     signal_strength=0.5, image_size=16, seed=9)
+
+    def test_train_cae(self, cli_run, tmp_path, monkeypatch):
+        data, run_out = cli_run
+        required = ["train-cae", "--split", str(run_out), "--data", str(data),
+                    "--out", str(tmp_path)]
+        (_, images, config, _), _ = _handed(monkeypatch, harness, "fit_cae", required)
+        assert config == CaeConfig()
+        assert {img.shape for img in images.values()} == {(32, 32, 3)}
+        (_, images, config, _), _ = _handed(monkeypatch, harness, "fit_cae", required + [
+            "--size", "16", "--loss", "mse", "--batch", "8", "--patience", "3",
+            "--max-epochs", "4", "--lr", "0.01", "--seed", "5"])
+        assert config == CaeConfig(input_height=16, input_width=16, loss_kind="mse",
+                                   batch_size=8, patience=3, max_epochs=4,
+                                   learning_rate=0.01, seed=5)
+        assert {img.shape for img in images.values()} == {(16, 16, 3)}
+
+    def test_train_rec(self, cli_run, tmp_path, monkeypatch):
+        _, run_out = cli_run
+        sizes = _split_sizes(run_out)
+        required = ["train-rec", "--features", str(run_out / "features.txt"),
+                    "--split", str(run_out), "--out", str(tmp_path)]
+        (_, _, config), _ = _handed(monkeypatch, harness, "train_classifier", required)
+        assert config == RecConfig(*sizes)
+        (_, _, config), _ = _handed(monkeypatch, harness, "train_classifier", required + [
+            "--embed", "32", "--lr", "0.01", "--reduce-blocks", "1", "--batch", "8",
+            "--patience", "3", "--max-epochs", "4", "--threshold", "0.4", "--seed", "5"])
+        assert config == RecConfig(*sizes, embed_dim=32, learning_rate=0.01,
+                                   n_reduce_blocks=1, batch_size=8, patience=3,
+                                   max_epochs=4, decision_threshold=0.4, seed=5)
+
+    @staticmethod
+    def _grid_configs(call):
+        """The config of every grid point, as `recmodel.grid_search` derives them."""
+        (_, _, lrs, embeds, base), kwargs = call
+        return [replace(base, learning_rate=lr, embed_dim=embed, patience=kwargs["patience"])
+                for lr, embed in itertools.product(lrs, embeds)]
+
+    def test_grid_search(self, cli_run, monkeypatch):
+        from platerec import recmodel
+        _, run_out = cli_run
+        sizes = _split_sizes(run_out)
+        required = ["grid-search", "--features", str(run_out / "features.txt"),
+                    "--split", str(run_out)]
+        call = _handed(monkeypatch, recmodel, "grid_search", required)
+        assert self._grid_configs(call) == [
+            RecConfig(*sizes, learning_rate=lr, embed_dim=embed, patience=6)
+            for lr in (0.001, 0.0001) for embed in (128, 256, 512)]
+        call = _handed(monkeypatch, recmodel, "grid_search", required + [
+            "--lr", "0.01,0.02", "--embed", "8,16", "--patience", "3", "--batch", "8",
+            "--max-epochs", "4", "--seed", "5"])
+        assert self._grid_configs(call) == [
+            RecConfig(*sizes, learning_rate=lr, embed_dim=embed, patience=3,
+                      batch_size=8, max_epochs=4, seed=5)
+            for lr in (0.01, 0.02) for embed in (8, 16)]
+
+    # every flag `run` and `ablation` shared before the flags came from the fields
+    EXPERIMENT_FLAGS = ["--size", "16", "--seed", "5", "--feature-source", "feature-file",
+                        "--feature-file", "f.txt", "--feature-dim", "12",
+                        "--cae-max-epochs", "3", "--embed", "8", "--lr", "0.01",
+                        "--patience", "4", "--max-epochs", "5", "--threshold", "0.4"]
+    EXPERIMENT_VALUES = dict(image_size=16, seed=5, feature_source="feature-file",
+                             feature_file="f.txt", image_feature_dim=12, cae_max_epochs=3,
+                             embed_dim=8, rec_lr=0.01, rec_patience=4, rec_max_epochs=5,
+                             threshold=0.4)
+
+    def test_run(self, tmp_path, monkeypatch):
+        dirs = dict(data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"))
+        required = ["run", "--data", dirs["data_dir"], "--out", dirs["out_dir"]]
+        (config,), _ = _handed(monkeypatch, harness, "run_experiment", required)
+        assert config == harness.ExperimentConfig(**dirs)
+        (config,), _ = _handed(monkeypatch, harness, "run_experiment",
+                               required + self.EXPERIMENT_FLAGS)
+        assert config == harness.ExperimentConfig(**dirs, **self.EXPERIMENT_VALUES)
+
+    def test_ablation(self, tmp_path, monkeypatch):
+        dirs = dict(data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"))
+        required = ["ablation", "--data", dirs["data_dir"], "--out", dirs["out_dir"]]
+        args, _ = _handed(monkeypatch, harness, "run_ablation", required)
+        assert args == (harness.ExperimentConfig(**dirs), (1, 2))
+        args, _ = _handed(monkeypatch, harness, "run_ablation",
+                          required + self.EXPERIMENT_FLAGS + ["--reduce-blocks", "2"])
+        assert args == (harness.ExperimentConfig(**dirs, **self.EXPERIMENT_VALUES), (2,))
+
+
+class TestCliEndToEnd:
+    """The two commands no other test runs, on the `cli_run` data at tiny epochs."""
+
+    def test_grid_search(self, cli_run, tmp_path, capsys):
+        _, run_out = cli_run
+        out = tmp_path / "grid.json"
+        capsys.readouterr()
+        assert cli.main(["grid-search", "--features", str(run_out / "features.txt"),
+                         "--split", str(run_out), "--lr", "0.01,0.001", "--embed", "8",
+                         "--max-epochs", "2", "--seed", "3", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert [(row["lr"], row["embed_dim"]) for row in result["rows"]] == [
+            (0.01, 8), (0.001, 8)]
+        assert result["best"]["embed_dim"] == 8 and result["best"]["lr"] in (0.01, 0.001)
+        assert f"best: lr={result['best']['lr']:g} embed=8" in capsys.readouterr().out
+
+    def test_ablation(self, cli_run, tmp_path, capsys):
+        data, _ = cli_run
+        out = tmp_path / "abl"
+        capsys.readouterr()
+        assert cli.main(["ablation", "--data", str(data), "--out", str(out), "--size", "16",
+                         "--seed", "3", "--embed", "8", "--feature-source",
+                         "random-projection", "--max-epochs", "2"]) == 0
+        table = (out / "ablation.txt").read_text()
+        assert "1RB" in table and "2RB" in table
+        assert capsys.readouterr().out == table
+        assert (out / "rec_1rb.ckpt").exists() and (out / "rec_2rb.ckpt").exists()
