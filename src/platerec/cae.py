@@ -258,6 +258,8 @@ def train_cae(model: CaeModel, train_images, val_images, config: CaeConfig):
 
 
 def evaluate_loss(model: CaeModel, x_nchw, config: CaeConfig, batch_size=64):
+    if not len(x_nchw):
+        raise ValueError("cannot evaluate the reconstruction loss of an empty batch")
     batches = [x_nchw[start:start + batch_size] for start in range(0, len(x_nchw), batch_size)]
     losses = [nn.loss_eval(model.forward(batch), batch, config.loss_kind)[0] for batch in batches]
     return float(np.average(losses, weights=[len(batch) for batch in batches]))

@@ -1,11 +1,16 @@
-"""Command-line front end: each command maps its arguments onto harness stages."""
+"""Command-line front end: each command maps its arguments onto harness stages.
+
+A command that builds a config takes one flag per field of that config's
+dataclass, so every default is written once, in the dataclass.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+import typing
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 from . import cae as cae_mod
@@ -13,6 +18,44 @@ from . import data as data_mod
 from . import harness
 from . import recmodel as rec_mod
 from .metrics import format_report
+
+
+# field -> flag, where the flag is not the field's name with dashes
+FLAG_ALIASES = {
+    "n_users": "--users", "n_restaurants": "--restaurants", "target_ratio": "--ratio",
+    "signal_strength": "--signal", "image_size": "--size", "input_height": "--size",
+    "loss_kind": "--loss", "batch_size": "--batch", "learning_rate": "--lr",
+    "rec_lr": "--lr", "embed_dim": "--embed", "n_reduce_blocks": "--reduce-blocks",
+    "decision_threshold": "--threshold", "rec_patience": "--patience",
+    "rec_max_epochs": "--max-epochs", "image_feature_dim": "--feature-dim",
+    "data_dir": "--data", "out_dir": "--out",
+}
+# the classifier's sizes, which train-rec and grid-search take from the data
+DATA_SIZED = ("n_users", "n_restaurants", "image_feature_dim")
+
+
+def _add_config_flags(parser, cls, skip=()):
+    """One flag per field of the dataclass `cls` outside `skip`, parsed by the
+    field's annotation and defaulting to its default; a field without a default
+    is a required flag. Each flag stores into its field's name."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        flag = FLAG_ALIASES.get(f.name, "--" + f.name.replace("_", "-"))
+        hint = hints[f.name]  # `X | None` parses as X
+        kind = next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
+        if f.default is MISSING:
+            parser.add_argument(flag, dest=f.name, type=kind, required=True)
+        else:
+            parser.add_argument(flag, dest=f.name, type=kind, default=f.default,
+                                help="default: %(default)s")
+
+
+def _config_flags(cls, args):
+    """The parsed values of the flags `_add_config_flags` made for `cls`, by field."""
+    parsed = vars(args)
+    return {f.name: parsed[f.name] for f in fields(cls) if f.name in parsed}
 
 
 def _floats(text):
@@ -35,11 +78,7 @@ def _load_split_dir(split_dir):
 
 
 def cmd_synth(args):
-    config = data_mod.SynthConfig(
-        n_users=args.users, n_restaurants=args.restaurants,
-        target_ratio=args.ratio, signal_strength=args.signal,
-        image_size=args.size, seed=args.seed,
-    )
+    config = data_mod.SynthConfig(**_config_flags(data_mod.SynthConfig, args))
     manifest_path, records = data_mod.generate_synthetic(config, args.out)
     print(f"wrote {len(records)} reviews to {manifest_path}")
 
@@ -57,15 +96,13 @@ def cmd_augment(args):
 
 
 def cmd_train_cae(args):
+    # --size sets both dimensions
+    config = cae_mod.CaeConfig(**_config_flags(cae_mod.CaeConfig, args),
+                               input_width=args.input_height)
     split = data_mod.load_split(Path(args.split) / "split.jsonl")
-    config = cae_mod.CaeConfig(
-        input_height=args.size, input_width=args.size, loss_kind=args.loss,
-        batch_size=args.batch, patience=args.patience,
-        max_epochs=args.max_epochs, learning_rate=args.lr, seed=args.seed,
-    )
     # fit_cae reads the train and validation images only
     cae_rows = replace(split, rows=[r for r in split.rows if r.partition != "test"])
-    images = harness.load_images(cae_rows, (args.data,), args.size)
+    images = harness.load_images(cae_rows, (args.data,), config.input_height)
     _, history = harness.fit_cae(split, images, config, args.out)
     with open(Path(args.out) / "cae_history.json", "w", encoding="utf-8") as fh:
         json.dump(asdict(history), fh, indent=2)
@@ -86,11 +123,8 @@ def cmd_extract(args):
 def cmd_train_rec(args):
     split = _load_split_dir(args.split)
     features = data_mod.load_feature_file(args.features)
-    config = harness.classifier_config(
-        split, features, embed_dim=args.embed, n_reduce_blocks=args.reduce_blocks,
-        learning_rate=args.lr, batch_size=args.batch, patience=args.patience,
-        max_epochs=args.max_epochs, decision_threshold=args.threshold, seed=args.seed,
-    )
+    config = harness.classifier_config(split, features,
+                                       **_config_flags(rec_mod.RecConfig, args))
     model, history = harness.train_classifier(split, features, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -115,12 +149,10 @@ def cmd_grid_search(args):
     split = _load_split_dir(args.split)
     features = data_mod.load_feature_file(args.features)
     train, val = harness.classifier_batches(split, features)
-    base = harness.classifier_config(
-        split, features, embed_dim=args.embed[0], batch_size=args.batch,
-        max_epochs=args.max_epochs, seed=args.seed,
-    )
-    rows, best = rec_mod.grid_search(train, val, args.lr, args.embed, base,
-                                     patience=args.patience)
+    base = harness.classifier_config(split, features, embed_dim=args.embeds[0],
+                                     **_config_flags(rec_mod.RecConfig, args))
+    rows, best = rec_mod.grid_search(train, val, args.lrs, args.embeds, base,
+                                     patience=base.patience)
     for row in rows:
         print(f"lr={row['lr']:g} embed={row['embed_dim']} "
               f"val_b_score={row['val_b_score']:.4f}")
@@ -131,19 +163,9 @@ def cmd_grid_search(args):
                       fh, indent=2)
 
 
-def _experiment_config(args):
-    return harness.ExperimentConfig(
-        data_dir=args.data, out_dir=args.out, image_size=args.size,
-        seed=args.seed, feature_source=args.feature_source,
-        feature_file=args.feature_file, image_feature_dim=args.feature_dim,
-        cae_max_epochs=args.cae_max_epochs, embed_dim=args.embed,
-        rec_lr=args.lr, rec_patience=args.patience,
-        rec_max_epochs=args.max_epochs, threshold=args.threshold,
-    )
-
-
 def cmd_run(args):
-    report = harness.run_experiment(_experiment_config(args))
+    config = harness.ExperimentConfig(**_config_flags(harness.ExperimentConfig, args))
+    report = harness.run_experiment(config)
     for part, m in report.metrics.items():
         print(f"[{part}]")
         print(format_report(m))
@@ -151,24 +173,9 @@ def cmd_run(args):
 
 
 def cmd_ablation(args):
-    result = harness.run_ablation(_experiment_config(args), tuple(args.reduce_blocks))
+    config = harness.ExperimentConfig(**_config_flags(harness.ExperimentConfig, args))
+    result = harness.run_ablation(config, tuple(args.block_counts))
     print(result["table"])
-
-
-def _add_experiment_flags(p):
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feature-source", default="cae", choices=harness.FEATURE_SOURCES)
-    p.add_argument("--feature-file", default=None)
-    p.add_argument("--feature-dim", type=int, default=None)
-    p.add_argument("--cae-max-epochs", type=int, default=100)
-    p.add_argument("--embed", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--patience", type=int, default=12)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=0.5)
 
 
 def build_parser():
@@ -176,12 +183,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--users", type=int, default=50)
-    p.add_argument("--restaurants", type=int, default=10)
-    p.add_argument("--ratio", type=float, default=6.0)
-    p.add_argument("--signal", type=float, default=0.8)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, data_mod.SynthConfig, skip=("reviews_per_user", "images_per_review"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth, stage="synth")
 
@@ -200,13 +202,7 @@ def build_parser():
     p = sub.add_parser("train-cae", help="train the autoencoder on the original train set")
     p.add_argument("--split", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--loss", default="bce", choices=("bce", "mse"))
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--patience", type=int, default=6)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, cae_mod.CaeConfig, skip=("input_width", "input_channels"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_cae, stage="train-cae")
 
@@ -220,14 +216,7 @@ def build_parser():
     p = sub.add_parser("train-rec", help="train the triad classifier")
     p.add_argument("--features", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--embed", type=int, default=512)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--reduce-blocks", type=int, default=2, choices=(1, 2))
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--patience", type=int, default=12)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, rec_mod.RecConfig, skip=DATA_SIZED)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_rec, stage="train-rec")
 
@@ -241,22 +230,19 @@ def build_parser():
     p = sub.add_parser("grid-search", help="grid search over learning rate and embedding size")
     p.add_argument("--features", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--lr", type=_floats, default=[0.001, 0.0001])
-    p.add_argument("--embed", type=_ints, default=[128, 256, 512])
-    p.add_argument("--patience", type=int, default=6)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, rec_mod.RecConfig, skip=DATA_SIZED + ("learning_rate", "embed_dim"))
+    p.add_argument("--lr", dest="lrs", type=_floats, default=[0.001, 0.0001])
+    p.add_argument("--embed", dest="embeds", type=_ints, default=[128, 256, 512])
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_grid_search, stage="grid-search")
+    p.set_defaults(func=cmd_grid_search, stage="grid-search", patience=6)
 
     p = sub.add_parser("run", help="full pipeline: split, augment, train, evaluate")
-    _add_experiment_flags(p)
+    _add_config_flags(p, harness.ExperimentConfig)
     p.set_defaults(func=cmd_run, stage="run")
 
     p = sub.add_parser("ablation", help="compare one vs two reduce blocks")
-    _add_experiment_flags(p)
-    p.add_argument("--reduce-blocks", type=_ints, default=[1, 2])
+    _add_config_flags(p, harness.ExperimentConfig, skip=("n_reduce_blocks",))
+    p.add_argument("--reduce-blocks", dest="block_counts", type=_ints, default=[1, 2])
     p.set_defaults(func=cmd_ablation, stage="ablation")
 
     return parser

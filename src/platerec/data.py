@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .nn import derive_seed, make_rng
 
@@ -297,6 +296,9 @@ def load_split(path) -> SplitAssignment:
 
 def apply_transform(image, kind):
     """One of the four fixed size-preserving augmentation transforms."""
+    # imported here, so that a process which never augments never loads scipy
+    from scipy import ndimage
+
     image = np.asarray(image, dtype=np.float32)
     if kind == "flip_x":
         return image[:, ::-1, :].copy()

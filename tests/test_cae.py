@@ -352,6 +352,11 @@ class TestFoldedInference:
         want = np.average(losses, weights=[64, 3])
         assert abs(evaluate_loss(model, x, cfg) - want) <= 1e-5 * abs(want)
 
+    def test_evaluate_loss_rejects_an_empty_batch(self):
+        cfg = CaeConfig(input_height=8, input_width=8)
+        with pytest.raises(ValueError, match="empty batch"):
+            evaluate_loss(build_cae(cfg), np.zeros((0, 3, 8, 8), np.float32), cfg)
+
     @pytest.mark.parametrize("size", [32, 8])
     def test_reconstruct_image_matches_the_layer_by_layer_forward(self, size):
         model, images, x = folded_setup(size, 3, seed=2)

@@ -1,11 +1,15 @@
+import argparse
 import hashlib
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -930,3 +934,68 @@ class TestCliEndToEnd:
         assert "1RB" in table and "2RB" in table
         assert capsys.readouterr().out == table
         assert (out / "rec_1rb.ckpt").exists() and (out / "rec_2rb.ckpt").exists()
+
+
+def _subcommands():
+    """Every subcommand name of the parser."""
+    parser = cli.build_parser()
+    return sorted(next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+class TestCliFlags:
+    """Flags built from the config dataclasses' fields."""
+
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_help_exits_cleanly(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main([command, "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: platerec {command}")
+
+    def test_run_sets_every_experiment_field(self, tmp_path, monkeypatch):
+        values = dict(
+            data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"), image_size=16,
+            seed=5, feature_source="feature-file", feature_file="f.txt", image_feature_dim=12,
+            cae_loss="mse", cae_lr=0.01, cae_batch=8, cae_patience=3, cae_max_epochs=4,
+            embed_dim=8, n_reduce_blocks=1, rec_lr=0.02, rec_batch=16, rec_patience=5,
+            rec_max_epochs=6, threshold=0.4,
+        )
+        assert list(values) == [f.name for f in fields(harness.ExperimentConfig)]
+        defaults = harness.ExperimentConfig(values["data_dir"], values["out_dir"])
+        assert all(getattr(defaults, k) != v for k, v in values.items() if not k.endswith("_dir"))
+        argv = ["run", "--data", values["data_dir"], "--out", values["out_dir"],
+                "--size", "16", "--seed", "5", "--feature-source", "feature-file",
+                "--feature-file", "f.txt", "--feature-dim", "12", "--cae-loss", "mse",
+                "--cae-lr", "0.01", "--cae-batch", "8", "--cae-patience", "3",
+                "--cae-max-epochs", "4", "--embed", "8", "--reduce-blocks", "1",
+                "--lr", "0.02", "--rec-batch", "16", "--patience", "5", "--max-epochs", "6",
+                "--threshold", "0.4"]
+        (config,), _ = _handed(monkeypatch, harness, "run_experiment", argv)
+        assert config == harness.ExperimentConfig(**values)
+
+    def test_bad_values_name_the_stage_and_the_value(self, cli_run, tmp_path, capsys):
+        data, run_out = cli_run
+        for stage, argv, value in (
+            ("run", ["run", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--feature-source", "resnet"], "'resnet'"),
+            ("train-cae", ["train-cae", "--split", str(run_out), "--data", str(data),
+                           "--out", str(tmp_path / "cae"), "--loss", "huber"], "'huber'"),
+            ("train-rec", ["train-rec", "--features", str(run_out / "features.txt"),
+                           "--split", str(run_out), "--out", str(tmp_path / "rec"),
+                           "--reduce-blocks", "3"], "got 3"),
+        ):
+            capsys.readouterr()
+            assert cli.main(argv) == 1, stage
+            err = capsys.readouterr().err
+            assert f"stage {stage!r} failed" in err and value in err, err
+
+    def test_import_leaves_scipy_unloaded(self):
+        import platerec
+        src = str(Path(platerec.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, platerec.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "False"
