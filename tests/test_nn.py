@@ -509,6 +509,43 @@ class TestEmbedding:
 
 
 # ---------------------------------------------------------------------------
+# The Layer contract
+# ---------------------------------------------------------------------------
+
+# each layer with a training-mode input it takes; the conv has its own cases above
+CONTRACT_LAYERS = {
+    "batchnorm-2d": lambda rng: (nn.BatchNorm(3), rng.normal(size=(4, 3))),
+    "batchnorm-4d": lambda rng: (nn.BatchNorm(3), rng.normal(size=(2, 3, 4, 4))),
+    "dense": lambda rng: (nn.Dense(3, 2, rng), rng.normal(size=(4, 3))),
+    "embedding": lambda rng: (nn.Embedding(5, 3, rng), np.array([4, 1, 1, 0])),
+    "maxpool": lambda rng: (nn.MaxPool2x2(), rng.normal(size=(2, 3, 4, 4))),
+    "relu": lambda rng: (nn.ReLU(), rng.normal(size=(4, 3))),
+    "sigmoid": lambda rng: (nn.Sigmoid(), rng.normal(size=(4, 3))),
+    "dropout": lambda rng: (nn.Dropout(0.5), rng.normal(size=(4, 3))),
+    "upsample": lambda rng: (nn.Upsample2x(), rng.normal(size=(2, 3, 2, 2))),
+}
+
+
+class TestLayerContract:
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_LAYERS))
+    def test_a_backward_can_run_twice(self, name):
+        rng = rng64(0, name)
+        layer, x = CONTRACT_LAYERS[name](rng)
+        if x.dtype.kind == "f":
+            x = x.astype(np.float32)
+        out = layer.forward(x, mode=nn.TRAINING, rng=rng)
+        grad_out = rng.normal(size=out.shape).astype(np.float32)
+        first = [layer.backward(grad_out)] + [p.grad.copy() for p in layer.params()]
+        second = [layer.backward(grad_out)] + [p.grad for p in layer.params()]
+        if isinstance(layer, nn.Embedding):  # indices carry no gradient
+            assert first[0] is None and second[0] is None
+            first, second = first[1:], second[1:]
+        for a, b in zip(first, second, strict=True):
+            assert _same_bits(a, b)
+
+
+# ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
