@@ -190,6 +190,30 @@ class ExperimentConfig:
             raise ValueError(f"unknown feature source {self.feature_source!r}")
         if self.feature_source == "feature-file" and not self.feature_file:
             raise ValueError("feature-file source needs a feature_file path")
+        # each stage's dataclass checks its own values; building them here makes a
+        # bad value fail before any stage runs. Random projection takes any image
+        # size, and any valid data sizes check the classifier's other fields.
+        if self.feature_source == "cae":
+            self.cae_config()
+        rec_mod.RecConfig(n_users=1, n_restaurants=1, image_feature_dim=1,
+                          **self.rec_hyperparameters(self.n_reduce_blocks))
+
+    def cae_config(self) -> cae_mod.CaeConfig:
+        """The autoencoder stage's config."""
+        return cae_mod.CaeConfig(
+            input_height=self.image_size, input_width=self.image_size,
+            loss_kind=self.cae_loss, batch_size=self.cae_batch,
+            patience=self.cae_patience, max_epochs=self.cae_max_epochs,
+            learning_rate=self.cae_lr, seed=self.seed,
+        )
+
+    def rec_hyperparameters(self, n_reduce_blocks):
+        """The classifier stage's RecConfig fields, all but the three data-sized
+        ones that `classifier_config` fills in."""
+        return dict(embed_dim=self.embed_dim, n_reduce_blocks=n_reduce_blocks,
+                    learning_rate=self.rec_lr, batch_size=self.rec_batch,
+                    patience=self.rec_patience, max_epochs=self.rec_max_epochs,
+                    decision_threshold=self.threshold, seed=self.seed)
 
 
 @dataclass
@@ -338,13 +362,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     cae_history = None
     with _stage("features", walls):
         if config.feature_source == "cae":
-            cae_config = cae_mod.CaeConfig(
-                input_height=config.image_size, input_width=config.image_size,
-                loss_kind=config.cae_loss, batch_size=config.cae_batch,
-                patience=config.cae_patience, max_epochs=config.cae_max_epochs,
-                learning_rate=config.cae_lr, seed=config.seed,
-            )
-            model, history = fit_cae(split, images, cae_config, out_dir)
+            model, history = fit_cae(split, images, config.cae_config(), out_dir)
             cae_history = asdict(history)
             features = cae_features(model, images)
         elif config.feature_source == "random-projection":
@@ -422,12 +440,8 @@ def evaluate_partition(model, split, features, partition, threshold) -> MetricsR
 def train_and_evaluate(prepared: PreparedData, config: ExperimentConfig, n_reduce_blocks):
     """Train the recommender on the augmented train rows and evaluate all partitions."""
     split, features = prepared.split, prepared.features
-    rec_config = classifier_config(
-        split, features, embed_dim=config.embed_dim, n_reduce_blocks=n_reduce_blocks,
-        learning_rate=config.rec_lr, batch_size=config.rec_batch,
-        patience=config.rec_patience, max_epochs=config.rec_max_epochs,
-        decision_threshold=config.threshold, seed=config.seed,
-    )
+    rec_config = classifier_config(split, features,
+                                   **config.rec_hyperparameters(n_reduce_blocks))
     model, history = train_classifier(split, features, rec_config)
     reports = {p: evaluate_partition(model, split, features, p, config.threshold)
                for p in data_mod.PARTITIONS if split.rows_in(p)}
@@ -471,6 +485,8 @@ def run_ablation(config: ExperimentConfig, block_counts=(1, 2)):
     Returns {"variants": {str(n): RunReport}, "table": text} with the
     five-metric side-by-side comparison on the test partition.
     """
+    for n in block_counts:
+        replace(config, n_reduce_blocks=n)  # checks each count before any stage runs
     prepared = prepare_data(config)
     out_dir = Path(config.out_dir)
     variants = {str(n): _train_rec(prepared, config, n, out_dir / f"rec_{n}rb.ckpt")

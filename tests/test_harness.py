@@ -34,6 +34,12 @@ def tiny_rec_model(seed=0):
     return build_recommender(cfg)
 
 
+def single_class_validation():
+    """Expect the warning training gives on a validation partition of one class,
+    as the small synthetic sets of these tests have."""
+    return pytest.warns(UserWarning, match="single class")
+
+
 def probe_batch(cfg, seed=0):
     rng = nn.make_rng(seed, "probe")
     return TriadBatch(
@@ -519,7 +525,8 @@ def synth_dirs(tmp_path_factory):
         cae_max_epochs=2, cae_patience=2, rec_max_epochs=3, rec_patience=3,
         embed_dim=8,
     )
-    report = harness.run_experiment(config)
+    with single_class_validation():
+        report = harness.run_experiment(config)
     return data_dir, out_dir, config, report
 
 
@@ -566,7 +573,8 @@ class TestPipeline:
     def test_rerun_metrics_identical(self, synth_dirs, tmp_path):
         data_dir, _, config, report = synth_dirs
         from dataclasses import replace
-        rerun = harness.run_experiment(replace(config, out_dir=str(tmp_path / "out2")))
+        with single_class_validation():
+            rerun = harness.run_experiment(replace(config, out_dir=str(tmp_path / "out2")))
         assert rerun.to_dict()["metrics"] == report.to_dict()["metrics"]
 
     def test_feature_file_source_reuses_extraction(self, synth_dirs, tmp_path):
@@ -575,7 +583,8 @@ class TestPipeline:
         reuse = replace(config, out_dir=str(tmp_path / "out3"),
                         feature_source="feature-file",
                         feature_file=str(out_dir / "features.txt"))
-        rerun = harness.run_experiment(reuse)
+        with single_class_validation():
+            rerun = harness.run_experiment(reuse)
         assert rerun.to_dict()["metrics"] == report.to_dict()["metrics"]
 
     def test_nan_pixel_is_a_features_stage_error(self, synth_dirs, tmp_path, monkeypatch):
@@ -629,7 +638,8 @@ class TestPipeline:
     def test_ablation_runs_both_variants(self, synth_dirs, tmp_path):
         data_dir, _, config, _ = synth_dirs
         from dataclasses import replace
-        result = harness.run_ablation(replace(config, out_dir=str(tmp_path / "abl")))
+        with single_class_validation():
+            result = harness.run_ablation(replace(config, out_dir=str(tmp_path / "abl")))
         assert set(result["variants"]) == {"1", "2"}
         table = result["table"]
         for label in ("Sens.", "Spec.", "Precision", "F1-Score", "B-Score"):
@@ -684,9 +694,10 @@ def cli_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-run")
     assert cli.main(["synth", "--users", "20", "--size", "16", "--seed", "3",
                      "--out", str(data)]) == 0
-    assert cli.main(["run", "--data", str(data), "--out", str(out), "--size", "16",
-                     "--seed", "3", "--embed", "16", "--cae-max-epochs", "2",
-                     "--max-epochs", "5"]) == 0
+    with single_class_validation():
+        assert cli.main(["run", "--data", str(data), "--out", str(out), "--size", "16",
+                         "--seed", "3", "--embed", "16", "--cae-max-epochs", "2",
+                         "--max-epochs", "5"]) == 0
     return data, out
 
 
@@ -695,18 +706,19 @@ class TestCli:
     def test_staged_commands_match_run(self, cli_run, tmp_path):
         data, run_out = cli_run
         out = tmp_path / "staged"
-        for argv in (
-            ["split", "--manifest", str(data / "manifest.jsonl"), "--seed", "3"],
-            ["augment", "--split", str(out), "--data", str(data)],
-            ["train-cae", "--split", str(out), "--data", str(data), "--size", "16",
-             "--max-epochs", "2", "--seed", "3"],
-            ["extract", "--cae", str(out / "cae.ckpt"), "--split", str(out),
-             "--data", str(data)],
-            ["train-rec", "--features", str(out / "features.txt"), "--split", str(out),
-             "--embed", "16", "--max-epochs", "5", "--seed", "3"],
-        ):
-            target = out / "features.txt" if argv[0] == "extract" else out
-            assert cli.main(argv + ["--out", str(target)]) == 0, argv[0]
+        with single_class_validation():  # from train-rec
+            for argv in (
+                ["split", "--manifest", str(data / "manifest.jsonl"), "--seed", "3"],
+                ["augment", "--split", str(out), "--data", str(data)],
+                ["train-cae", "--split", str(out), "--data", str(data), "--size", "16",
+                 "--max-epochs", "2", "--seed", "3"],
+                ["extract", "--cae", str(out / "cae.ckpt"), "--split", str(out),
+                 "--data", str(data)],
+                ["train-rec", "--features", str(out / "features.txt"), "--split", str(out),
+                 "--embed", "16", "--max-epochs", "5", "--seed", "3"],
+            ):
+                target = out / "features.txt" if argv[0] == "extract" else out
+                assert cli.main(argv + ["--out", str(target)]) == 0, argv[0]
         for name in ("split.jsonl", "augmented_split.jsonl", "cae.ckpt",
                      "features.txt", "rec.ckpt"):
             assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
@@ -750,9 +762,10 @@ class TestCli:
         assert cli.main(["synth", "--users", "20", "--restaurants", "5",
                          "--ratio", "3", "--size", "16", "--seed", "4",
                          "--out", str(data)]) == 0
-        assert cli.main(["run", "--data", str(data), "--out", str(out),
-                         "--size", "16", "--seed", "4", "--embed", "8",
-                         "--cae-max-epochs", "2", "--max-epochs", "2"]) == 0
+        with single_class_validation():
+            assert cli.main(["run", "--data", str(data), "--out", str(out),
+                             "--size", "16", "--seed", "4", "--embed", "8",
+                             "--cae-max-epochs", "2", "--max-epochs", "2"]) == 0
         assert (out / "report.json").exists()
         assert cli.main(["evaluate", "--model", str(out / "rec.ckpt"),
                          "--features", str(out / "features.txt"),
@@ -914,9 +927,10 @@ class TestCliEndToEnd:
         _, run_out = cli_run
         out = tmp_path / "grid.json"
         capsys.readouterr()
-        assert cli.main(["grid-search", "--features", str(run_out / "features.txt"),
-                         "--split", str(run_out), "--lr", "0.01,0.001", "--embed", "8",
-                         "--max-epochs", "2", "--seed", "3", "--out", str(out)]) == 0
+        with single_class_validation():
+            assert cli.main(["grid-search", "--features", str(run_out / "features.txt"),
+                             "--split", str(run_out), "--lr", "0.01,0.001", "--embed", "8",
+                             "--max-epochs", "2", "--seed", "3", "--out", str(out)]) == 0
         result = json.loads(out.read_text())
         assert [(row["lr"], row["embed_dim"]) for row in result["rows"]] == [
             (0.01, 8), (0.001, 8)]
@@ -927,9 +941,11 @@ class TestCliEndToEnd:
         data, _ = cli_run
         out = tmp_path / "abl"
         capsys.readouterr()
-        assert cli.main(["ablation", "--data", str(data), "--out", str(out), "--size", "16",
-                         "--seed", "3", "--embed", "8", "--feature-source",
-                         "random-projection", "--max-epochs", "2"]) == 0
+        with single_class_validation():
+            assert cli.main(["ablation", "--data", str(data), "--out", str(out),
+                             "--size", "16", "--seed", "3", "--embed", "8",
+                             "--feature-source", "random-projection",
+                             "--max-epochs", "2"]) == 0
         table = (out / "ablation.txt").read_text()
         assert "1RB" in table and "2RB" in table
         assert capsys.readouterr().out == table
@@ -989,6 +1005,21 @@ class TestCliFlags:
             assert cli.main(argv) == 1, stage
             err = capsys.readouterr().err
             assert f"stage {stage!r} failed" in err and value in err, err
+
+    @pytest.mark.parametrize("argv, value", [
+        (["run", "--reduce-blocks", "3"], "got 3"),
+        (["run", "--cae-loss", "huber"], "'huber'"),
+        (["ablation", "--reduce-blocks", "1,3"], "got 3"),
+    ], ids=["run-reduce-blocks", "run-cae-loss", "ablation-reduce-blocks"])
+    def test_stage_values_are_checked_before_any_stage_runs(self, cli_run, tmp_path,
+                                                            capsys, argv, value):
+        data, _ = cli_run
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(argv + ["--data", str(data), "--out", str(out), "--size", "16"]) == 1
+        err = capsys.readouterr().err
+        assert f"stage {argv[0]!r} failed" in err and value in err, err
+        assert not (out / "split.jsonl").exists()
 
     def test_import_leaves_scipy_unloaded(self):
         import platerec
