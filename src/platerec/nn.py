@@ -611,11 +611,16 @@ class Upsample2x(Layer):
 class BatchNorm(Layer):
     """Batch normalization: per channel for NCHW inputs, per feature for NF inputs.
 
-    Every call allocates only the full-size arrays it returns or caches, plus
-    one scratch array in backward; the rest works in place. Each
-    floating-point operation, its operands and their order are those of the
-    allocating textbook form (with `x.var`), so outputs, gradients and
-    running statistics are bit-identical to it for contiguous inputs.
+    Every call allocates only the full-size arrays it returns or caches; the
+    rest works in place. The forward's floating-point operations, operands
+    and order are those of the allocating textbook form (with `x.var`), so
+    the output, the running statistics, the inference forward and the gamma
+    and beta gradients are bit-identical to it for contiguous inputs. The
+    input gradient takes the closed form of Ioffe & Szegedy
+    (arXiv:1502.03167), gamma/std * (g - xhat*mean(g*xhat) - mean(g)),
+    whose two sums are the gamma and beta gradients; it agrees with the
+    textbook form to float32 rounding. Backward writes neither the cached
+    `xhat` nor `grad_out`, so it may run twice on one forward.
     """
 
     EPS = 1e-5
@@ -699,16 +704,13 @@ class BatchNorm(Layer):
         scratch = np.multiply(grad_out, xhat)
         scratch.sum(axis=axes, out=self.gamma.grad)
         grad_out.sum(axis=axes, out=self.beta.grad)
-        dxhat = np.multiply(grad_out, self.gamma.value.reshape(bshape))
-        mean_d = dxhat.sum(axis=axes).reshape(bshape) / m
-        np.multiply(dxhat, xhat, out=scratch)
-        mean_dx = scratch.sum(axis=axes).reshape(bshape) / m
-        # (dxhat - mean_d - xhat * mean_dx) / std, left to right
-        np.subtract(dxhat, mean_d, out=dxhat)
-        np.multiply(xhat, mean_dx, out=scratch)
-        np.subtract(dxhat, scratch, out=dxhat)
-        np.divide(dxhat, std, out=dxhat)
-        return dxhat
+        # gamma/std * (g - xhat*sum(g*xhat)/m - sum(g)/m): the two sums are the
+        # gamma and beta gradients just written
+        np.multiply(xhat, (self.gamma.grad / m).reshape(bshape), out=scratch)
+        np.add(scratch, (self.beta.grad / m).reshape(bshape), out=scratch)
+        np.subtract(grad_out, scratch, out=scratch)
+        np.multiply(scratch, self.gamma.value.reshape(bshape) / std, out=scratch)
+        return scratch
 
 
 class Dense(Layer):

@@ -655,8 +655,8 @@ class TestPipeline:
 # them re-pins and names the old and new digests. This build's BLAS and numpy
 # enter the bytes.
 GOLDEN_RUN_SHA256 = {
-    "cae": "c31f0dd50fc0e4b33b1c7f31dbd9d06a7db9094817be5ad5bb28796e19d01c14",
-    "random-projection": "933e345ec7b332126835f3cd01ef3672f057f641cb3ab0760a9bec5518021e88",
+    "cae": "340acf1262dac57b7be32f6dea5641a478ac671dd4dc48e21fbf480cf2cce1c6",
+    "random-projection": "cd1b567806fb11176153c0899bf571ad1704e94a2bd84317f2dd97c86ccd912a",
 }
 GOLDEN_RUN_ARTIFACTS = {
     "cae": ("split.jsonl", "augmented_split.jsonl", "features.txt", "cae.ckpt", "rec.ckpt"),

@@ -346,6 +346,14 @@ class TestBatchNorm:
             out_ref, grad_ref = _batchnorm_reference(ref, x, nn.TRAINING, grad_out)
             assert _same_bits(out, out_ref)
             assert _same_bits(grad_in, grad_ref)
+            # it and the textbook form agree with float64 on the cached xhat and
+            # std, to float32 rounding of the largest term gamma/std * g
+            xhat, std, axes, _ = live._cache
+            operands = (live.gamma.value, xhat, std, grad_out)
+            exact = _textbook_grad_in(*(a.astype(np.float64) for a in operands), axes)
+            tol = 1e-6 * np.abs(live.gamma.value.reshape(std.shape) / std * grad_out).max()
+            assert np.abs(grad_in - exact).max() <= tol
+            assert np.abs(_textbook_grad_in(*operands, axes) - exact).max() <= tol
             for name, p in live.tensors().items():
                 assert _same_bits(p.value, ref.tensors()[name].value)
             assert _same_bits(live.gamma.grad, ref.gamma.grad)
@@ -366,9 +374,25 @@ class TestBatchNorm:
             tracemalloc.stop()
         assert peak <= 1.5 * out.nbytes
 
+    def test_backward_allocates_only_its_input_gradient(self):
+        bn = nn.BatchNorm(64)
+        rng = rng64(0, "bn-backward-mem")
+        x = rng.normal(size=(32, 64, 32, 32)).astype(np.float32)
+        grad_out = rng.normal(size=x.shape).astype(np.float32)
+        bn.forward(x, mode=nn.TRAINING)
+        bn.backward(grad_out)  # warm
+        tracemalloc.start()
+        try:
+            grad_in = bn.backward(grad_out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grad_in.nbytes
+
 
 def _batchnorm_reference(bn, x, mode, grad_out=None):
-    """The allocating forward and backward that `nn.BatchNorm` must match bit for bit.
+    """The allocating forward and closed-form backward that `nn.BatchNorm` must
+    match bit for bit.
 
     Runs the forward pass on `x`, updating the running statistics in training
     mode, then, given `grad_out`, the backward pass, writing the gamma and
@@ -398,10 +422,19 @@ def _batchnorm_reference(bn, x, mode, grad_out=None):
     bn.gamma.grad[...] = (grad_out * xhat).sum(axis=axes)
     bn.beta.grad[...] = grad_out.sum(axis=axes)
     m = grad_out.size // bn.num_features
-    dxhat = grad_out * bn.gamma.value.reshape(bshape)
-    mean_d = dxhat.sum(axis=axes).reshape(bshape) / m
-    mean_dx = (dxhat * xhat).sum(axis=axes).reshape(bshape) / m
-    return out, (dxhat - mean_d - xhat * mean_dx) / std
+    mean_gx = (bn.gamma.grad / m).reshape(bshape)
+    mean_g = (bn.beta.grad / m).reshape(bshape)
+    return out, (grad_out - (xhat * mean_gx + mean_g)) * (gamma / std)
+
+
+def _textbook_grad_in(gamma, xhat, std, grad_out, axes):
+    """BatchNorm's input gradient in the textbook form, in the operands' dtype:
+    (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std, dxhat = g * gamma."""
+    m = grad_out.size // gamma.size
+    dxhat = grad_out * gamma.reshape(std.shape)
+    mean_d = dxhat.sum(axis=axes).reshape(std.shape) / m
+    mean_dx = (dxhat * xhat).sum(axis=axes).reshape(std.shape) / m
+    return (dxhat - mean_d - xhat * mean_dx) / std
 
 
 class TestDense:
