@@ -4,7 +4,11 @@ The split procedure assigns every image of every review to exactly one
 partition while guaranteeing that (a) every user and restaurant seen in the
 held-out partition also appears in train and (b) repeated (user, restaurant)
 pairs land entirely in train. Minority-class augmentation enlarges only the
-smaller class with four fixed image transforms.
+smaller class with four fixed image transforms. Two of them, the rotation and
+the rescale, are order-1 affine warps that sample through the bilinear gather
+of the resize; a point outside the image gives 0. Their bytes are those of
+scipy.ndimage's order-1 constant mode, which the tests use as an oracle; the
+package itself needs only numpy.
 
 Images are held in memory as H x W x 3 float32 arrays in [0, 1] and stored
 on disk as binary PPM (P6, maxval 255).
@@ -294,34 +298,55 @@ def load_split(path) -> SplitAssignment:
 # Image transforms and augmentation
 # ---------------------------------------------------------------------------
 
-def apply_transform(image, kind):
-    """One of the four fixed size-preserving augmentation transforms."""
-    # imported here, so that a process which never augments never loads scipy
-    from scipy import ndimage
+# scipy.special.cosdg(-30) and sindg(-30): the exact degree cosine and sine
+# that scipy.ndimage.rotate builds its matrix from (sin is not quite -0.5)
+COS_M30 = 0.8660254037844387
+SIN_M30 = -0.49999999999999994
 
+
+def _affine_warp(image, matrix, offset):
+    """Order-1 affine warp of an H x W x C image onto its own grid, clipped to
+    [0, 1]: pixel (i, j) samples the input at offset + matrix @ (i, j).
+
+    Each coordinate sums the offset first, then the i and j terms, as scipy
+    does, so the bytes are those of `ndimage.affine_transform(order=1)`.
+    """
+    h, w = image.shape[:2]
+    i = np.arange(h)[:, None]
+    j = np.arange(w)
+    ys = offset[0] + matrix[0][0] * i + matrix[0][1] * j
+    xs = offset[1] + matrix[1][0] * i + matrix[1][1] * j
+    out = _bilinear(image, _bilinear_taps(ys, xs, h, w))
+    out[(ys < 0) | (ys > h - 1) | (xs < 0) | (xs > w - 1)] = 0.0
+    return np.clip(out.astype(np.float32), 0.0, 1.0)
+
+
+def apply_transform(image, kind):
+    """One of the four fixed size-preserving augmentation transforms.
+
+    `rotate_m30` (about the image center) and `rescale_125` (a 1.25 zoom about
+    the center) are order-1 affine warps that share resize's bilinear gather; a
+    point that falls outside the image gives 0, and the result is clipped to
+    [0, 1]. Their bytes equal scipy.ndimage's order-1 constant mode with
+    `ndimage.rotate`'s and `ndimage.affine_transform`'s matrix and offset, which
+    the tests use as an oracle.
+    """
     image = np.asarray(image, dtype=np.float32)
+    h, w = image.shape[:2]
     if kind == "flip_x":
         return image[:, ::-1, :].copy()
     if kind == "translate_5_5":
         out = np.zeros_like(image)
-        h, w = image.shape[:2]
         if h > 5 and w > 5:
             out[5:, 5:, :] = image[:h - 5, :w - 5, :]
         return out
+    center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
     if kind == "rotate_m30":
-        out = ndimage.rotate(image, angle=-30.0, axes=(1, 0), reshape=False,
-                             order=1, mode="constant", cval=0.0)
-        return np.clip(out, 0.0, 1.0).astype(np.float32)
+        matrix = np.array([[COS_M30, SIN_M30], [-SIN_M30, COS_M30]])
+        return _affine_warp(image, matrix, center - matrix @ center)
     if kind == "rescale_125":
-        # zoom in by 1.25 about the image center, output keeps the input size
         s = 1.0 / 1.25
-        h, w = image.shape[:2]
-        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-        matrix = np.diag([s, s, 1.0])
-        offset = [cy * (1.0 - s), cx * (1.0 - s), 0.0]
-        out = ndimage.affine_transform(image, matrix, offset=offset, order=1,
-                                       mode="constant", cval=0.0)
-        return np.clip(out, 0.0, 1.0).astype(np.float32)
+        return _affine_warp(image, np.diag([s, s]), center * (1.0 - s))
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
@@ -399,6 +424,35 @@ def read_ppm(path):
     return (u8.astype(np.float32) / 255.0)
 
 
+def _bilinear_taps(ys, xs, h, w):
+    """The gather indices of the four neighbours and their float64 weights that
+    sample an h x w image at rows `ys` and columns `xs`, two arrays that
+    broadcast to the output grid. Each coordinate is first clamped into the image.
+    """
+    ys = np.clip(ys, 0, h - 1)
+    xs = np.clip(xs, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    # a trailing axis, so the weights broadcast over the channels
+    fy = (ys - y0)[..., None]
+    fx = (xs - x0)[..., None]
+    return y0, x0, y1, x1, fy, fx, 1 - fy, 1 - fx
+
+
+def _bilinear(image, taps):
+    """The float64 bilinear sum of an image's four gathered neighbours; the
+    expression and its order are fixed, each term `v * wy * wx`."""
+    y0, x0, y1, x1, fy, fx, gy, gx = taps
+    return (
+        image[y0, x0] * gy * gx
+        + image[y0, x1] * gy * fx
+        + image[y1, x0] * fy * gx
+        + image[y1, x1] * fy * fx
+    )
+
+
 @functools.lru_cache(maxsize=64)
 def _resize_plan(h, w, height, width):
     """The gather indices and float64 weights that resize h x w to height x width.
@@ -406,16 +460,10 @@ def _resize_plan(h, w, height, width):
     Cached per shape pair, so the arrays are shared between calls and made
     read-only.
     """
-    ys = np.clip((np.arange(height) + 0.5) * h / height - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(width) + 0.5) * w / width - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None, None]
-    fx = (xs - x0)[None, :, None]
-    # row indices as a column, so image[y, x] gathers the (height, width) grid
-    plan = (y0[:, None], x0, y1[:, None], x1, fy, fx, 1 - fy, 1 - fx)
+    ys = (np.arange(height) + 0.5) * h / height - 0.5
+    xs = (np.arange(width) + 0.5) * w / width - 0.5
+    # row coordinates as a column, so the taps gather the (height, width) grid
+    plan = _bilinear_taps(ys[:, None], xs, h, w)
     for arr in plan:
         arr.flags.writeable = False
     return plan
@@ -441,15 +489,7 @@ def resize_image(image, height, width):
         out += image[1::2, 1::2]
         out *= 0.25
         return out.astype(np.float32)
-    y0, x0, y1, x1, fy, fx, gy, gx = _resize_plan(h, w, height, width)
-    # gy = 1 - fy and gx = 1 - fx; the float64 expression and its order are fixed
-    out = (
-        image[y0, x0] * gy * gx
-        + image[y0, x1] * gy * fx
-        + image[y1, x0] * fy * gx
-        + image[y1, x1] * fy * fx
-    )
-    return out.astype(np.float32)
+    return _bilinear(image, _resize_plan(h, w, height, width)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +515,14 @@ class SynthConfig:
             raise ValueError("signal strength must lie in [0, 1]")
         if self.n_users < 1 or self.n_restaurants < 1:
             raise ValueError("need at least one user and one restaurant")
+        # every user writes a review and every review carries an image
+        for name in ("reviews_per_user", "images_per_review"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} must be a range (low, high) with 1 <= low <= high, "
+                                 f"got ({lo}, {hi})")
+        if self.image_size < 1:
+            raise ValueError(f"image_size must be positive, got {self.image_size}")
 
 
 def _restaurant_texture(size, rng):

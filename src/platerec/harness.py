@@ -190,6 +190,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown feature source {self.feature_source!r}")
         if self.feature_source == "feature-file" and not self.feature_file:
             raise ValueError("feature-file source needs a feature_file path")
+        if self.image_feature_dim is not None and self.image_feature_dim < 1:
+            raise ValueError(
+                f"image_feature_dim must be positive, got {self.image_feature_dim}")
         # each stage's dataclass checks its own values; building them here makes a
         # bad value fail before any stage runs. Random projection takes any image
         # size, and any valid data sizes check the classifier's other fields.
@@ -366,8 +369,8 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
             cae_history = asdict(history)
             features = cae_features(model, images)
         elif config.feature_source == "random-projection":
-            features = random_projection_features(
-                images, config.image_feature_dim or 48, config.seed)
+            dim = 48 if config.image_feature_dim is None else config.image_feature_dim
+            features = random_projection_features(images, dim, config.seed)
         else:
             features = data_mod.load_feature_file(config.feature_file)
             feature_dim = len(next(iter(features.values())))

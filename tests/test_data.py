@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage, special
 
 from conftest import json_values
 from platerec import data
@@ -374,6 +375,40 @@ class TestTransforms:
         assert out[8, 8, 0] == pytest.approx(1.0)
         assert out.sum() > img.sum()  # the bright square grew
 
+    @settings(max_examples=120, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 90), st.integers(1, 90)),
+           content=st.sampled_from(["u8", "binary", "random", "extreme"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_warps_are_the_bytes_of_scipy_s_order_1_constant_mode(self, shape, content, seed):
+        rng = np.random.default_rng(seed)
+        shape = (*shape, 3)
+        if content == "u8":  # the values read_ppm returns
+            img = rng.integers(0, 256, shape) / 255.0
+        elif content == "binary":
+            img = rng.integers(0, 2, shape)
+        elif content == "random":
+            img = rng.random(shape)
+        else:  # outside [0, 1] as well, so that the clip shows, down to subnormals
+            pool = rng.uniform(1, 3, 4) * 10.0 ** rng.choice([-44, -3, 0, 3, 37], 4)
+            img = rng.choice(np.concatenate([pool, -pool, [0.0, 0.5, 1.0]]), shape)
+        img = img.astype(np.float32)
+        s = 1.0 / 1.25
+        cy, cx = (shape[0] - 1) / 2.0, (shape[1] - 1) / 2.0
+        oracles = {
+            "rotate_m30": ndimage.rotate(img, angle=-30.0, axes=(1, 0), reshape=False,
+                                         order=1, mode="constant", cval=0.0),
+            "rescale_125": ndimage.affine_transform(
+                img, np.diag([s, s, 1.0]), offset=[cy * (1.0 - s), cx * (1.0 - s), 0.0],
+                order=1, mode="constant", cval=0.0),
+        }
+        for kind, oracle in oracles.items():
+            expected = np.clip(oracle, 0.0, 1.0).astype(np.float32)
+            assert apply_transform(img, kind).tobytes() == expected.tobytes(), kind
+
+    def test_rotation_uses_scipy_s_degree_cosine_and_sine(self):
+        assert data.COS_M30 == special.cosdg(-30.0)
+        assert data.SIN_M30 == special.sindg(-30.0)
+
 
 class TestAugmentMinority:
 
@@ -619,6 +654,15 @@ class TestSynthetic:
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             SynthConfig(target_ratio=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("images_per_review", (0, 0)), ("images_per_review", (0, 2)),
+        ("images_per_review", (3, 2)), ("reviews_per_user", (0, 2)),
+        ("reviews_per_user", (4, 2)), ("image_size", 0), ("image_size", -3),
+    ])
+    def test_value_the_generator_cannot_honour_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from platerec import cli, harness, nn
 from platerec.cae import CaeConfig, build_cae, train_cae
 from platerec.metrics import ConfusionCounts, MetricsReport, format_report
 from platerec.data import (
-    SplitAssignment, SplitRow, SynthConfig, apply_transform, generate_synthetic,
+    ORIGIN_OF_KIND, SplitAssignment, SplitRow, SynthConfig, apply_transform, generate_synthetic,
     load_feature_file, load_split, read_ppm, save_feature_file, write_ppm,
 )
 from platerec.recmodel import RecConfig, build_recommender, train_recommender
@@ -1010,7 +1010,12 @@ class TestCliFlags:
         (["run", "--reduce-blocks", "3"], "got 3"),
         (["run", "--cae-loss", "huber"], "'huber'"),
         (["ablation", "--reduce-blocks", "1,3"], "got 3"),
-    ], ids=["run-reduce-blocks", "run-cae-loss", "ablation-reduce-blocks"])
+        (["run", "--feature-source", "random-projection", "--feature-dim", "0"],
+         "image_feature_dim must be positive, got 0"),
+        (["run", "--feature-source", "random-projection", "--feature-dim", "-5"],
+         "image_feature_dim must be positive, got -5"),
+    ], ids=["run-reduce-blocks", "run-cae-loss", "ablation-reduce-blocks",
+            "run-feature-dim-0", "run-feature-dim-negative"])
     def test_stage_values_are_checked_before_any_stage_runs(self, cli_run, tmp_path,
                                                             capsys, argv, value):
         data, _ = cli_run
@@ -1030,3 +1035,25 @@ class TestCliFlags:
             [sys.executable, "-c", "import sys, platerec.cli; print('scipy' in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=120, check=True)
         assert run.stdout.strip() == "False"
+
+    def test_a_run_with_scipy_blocked_augments_with_every_transform(self, tmp_path):
+        import platerec
+        src = str(Path(platerec.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        data, out = tmp_path / "data", tmp_path / "out"
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from platerec import cli\n"
+            f"assert cli.main(['synth', '--users', '12', '--size', '16', '--seed', '3',"
+            f" '--out', {str(data)!r}]) == 0\n"
+            f"sys.exit(cli.main(['run', '--data', {str(data)!r}, '--out', {str(out)!r},"
+            " '--size', '16', '--seed', '3', '--feature-source', 'random-projection',"
+            " '--max-epochs', '2']))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        for origin in ORIGIN_OF_KIND.values():
+            assert any((out / "augmented" / origin).rglob("*.ppm")), origin
