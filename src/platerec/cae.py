@@ -102,10 +102,7 @@ class CaeConfig:
             raise ValueError("only 3-channel inputs are supported")
         if self.loss_kind not in ("bce", "mse"):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.batch_size < 2:
-            raise ValueError(
-                f"batch_size must be >= 2 (training-mode batch norm), got {self.batch_size}"
-            )
+        nn.check_fit_config(self)
 
     @property
     def code_shape(self):

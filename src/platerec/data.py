@@ -16,7 +16,6 @@ on disk as binary PPM (P6, maxval 255).
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -453,29 +452,13 @@ def _bilinear(image, taps):
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _resize_plan(h, w, height, width):
-    """The gather indices and float64 weights that resize h x w to height x width.
-
-    Cached per shape pair, so the arrays are shared between calls and made
-    read-only.
-    """
-    ys = (np.arange(height) + 0.5) * h / height - 0.5
-    xs = (np.arange(width) + 0.5) * w / width - 0.5
-    # row coordinates as a column, so the taps gather the (height, width) grid
-    plan = _bilinear_taps(ys[:, None], xs, h, w)
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
-
-
 def resize_image(image, height, width):
     """Bilinear resize of an H x W x C image to height x width (pixel-center alignment).
 
     An exact 2x downscale puts every weight at 0.5, so it sums the four strided
     pixel grids in float64, in the gather's order, and scales by 0.25 once: a
     power-of-two scale commutes with float64 rounding here, so the bytes are the
-    gather's. Other ratios gather through a cached plan.
+    gather's. Other ratios gather the four neighbours of each pixel centre.
     """
     if height < 1 or width < 1:
         raise ValueError("target dimensions must be positive")
@@ -489,7 +472,10 @@ def resize_image(image, height, width):
         out += image[1::2, 1::2]
         out *= 0.25
         return out.astype(np.float32)
-    return _bilinear(image, _resize_plan(h, w, height, width)).astype(np.float32)
+    ys = (np.arange(height) + 0.5) * h / height - 0.5
+    xs = (np.arange(width) + 0.5) * w / width - 0.5
+    # row coordinates as a column, so the taps gather the (height, width) grid
+    return _bilinear(image, _bilinear_taps(ys[:, None], xs, h, w)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

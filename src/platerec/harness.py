@@ -197,7 +197,11 @@ class ExperimentConfig:
         # bad value fail before any stage runs. Random projection takes any image
         # size, and any valid data sizes check the classifier's other fields.
         if self.feature_source == "cae":
-            self.cae_config()
+            code_length = self.cae_config().code_length
+            if self.image_feature_dim not in (None, code_length):
+                raise ValueError(
+                    f"image_feature_dim {self.image_feature_dim} differs from the "
+                    f"autoencoder's code length {code_length}")
         rec_mod.RecConfig(n_users=1, n_restaurants=1, image_feature_dim=1,
                           **self.rec_hyperparameters(self.n_reduce_blocks))
 

@@ -1,4 +1,4 @@
-"""Confusion-matrix metrics, the balanced score, and patience-based early stopping.
+"""Confusion-matrix metrics and the balanced score.
 
 The balanced score (b_score) is the harmonic mean of sensitivity and
 specificity; it is the quantity monitored when training the recommender.
@@ -105,34 +105,3 @@ def compute_metrics(counts: ConfusionCounts, threshold=0.5) -> MetricsReport:
         threshold=threshold,
     )
 
-
-@dataclass
-class EarlyStopState:
-    """Tracks the best monitored score and stops after `patience` stale epochs.
-
-    Strict improvement (score > best) resets the counter and captures the
-    snapshot; ties do not. The snapshot is taken by calling `take_snapshot`,
-    only on strict improvement, so epochs that do not improve copy nothing.
-    Training continues while the stale-epoch counter stays below patience.
-    """
-
-    patience: int
-    best_score: float = -np.inf
-    best_epoch: int = -1
-    epochs_since_improvement: int = 0
-    best_snapshot: object = None
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-
-    def update(self, epoch_score, epoch, take_snapshot):
-        """Returns True while training should continue."""
-        if epoch_score > self.best_score:
-            self.best_score = epoch_score
-            self.best_epoch = epoch
-            self.epochs_since_improvement = 0
-            self.best_snapshot = take_snapshot()
-        else:
-            self.epochs_since_improvement += 1
-        return self.epochs_since_improvement < self.patience

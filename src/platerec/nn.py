@@ -28,8 +28,6 @@ import time
 
 import numpy as np
 
-from .metrics import EarlyStopState
-
 DTYPE = np.float32
 
 TRAINING = "training"
@@ -116,6 +114,11 @@ class Parameter:
         return self._grad
 
 
+# `adam_step`'s beta1, beta2 and eps: Kingma & Ba's (arXiv:1412.6980) defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Values per chunk of `adam_step`. A float32 chunk's five operands (gradient,
 # moments, values and one scratch chunk) take 1.25 MiB, small enough to stay
 # in cache across the update's ten passes instead of streaming from memory.
@@ -190,7 +193,7 @@ def zero_grads(arena):
     arena.require_grad().fill(0)
 
 
-def adam_step(arena, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(arena, lr):
     """One Adam update of an arena with bias correction, in place. Gradients are left untouched.
 
     `adam_m` and `adam_v` hold the textbook moments m and v divided by
@@ -211,17 +214,14 @@ def adam_step(arena, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
     The arena is walked in chunks of ADAM_CHUNK values, all ten operations
     on one chunk before the next, in one scratch chunk allocated per call;
-    the moments are allocated on the first call. The textbook order, kept
-    earlier so that the values matched that form bit for bit, took 14
-    passes, three of them divides, and two scratch chunks. Adam was the
-    largest single cost of a classifier pass, and the folded form moves
-    only the last bits (float32 values stay within 1e-6 of each tensor's
-    largest after 30 steps), so the bit-for-bit match is given up.
+    the moments are allocated on the first call.
 
-    `step` and `eps_hat` must stay Python floats: a NumPy float64 scalar
-    would make NumPy compute each float32 chunk in float64 (NEP 50).
+    `lr` is checked where a training config is built (`check_fit_config`).
+    `step` and `eps_hat` must stay Python floats, hence `float(lr)`: a NumPy
+    float64 scalar would make NumPy compute each float32 chunk in float64
+    (NEP 50).
     """
-    lr, beta1, beta2, eps = _adam_hyperparameters(lr, beta1, beta2, eps)
+    lr = float(lr)
     g = arena.require_grad()
     if arena.adam_m is None:
         arena.adam_m = _mapped_zeros(g.size, g.dtype)
@@ -229,17 +229,17 @@ def adam_step(arena, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     arena.step_count += 1
     arena.version += 1
     t = arena.step_count
-    r = ((1.0 - beta2 ** t) / (1.0 - beta2)) ** 0.5
-    step = lr * (1.0 - beta1) / (1.0 - beta1 ** t) * r
-    eps_hat = eps * r
+    r = ((1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA2)) ** 0.5
+    step = lr * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1 ** t) * r
+    eps_hat = ADAM_EPS * r
     scratch = np.empty(min(ADAM_CHUNK, g.size), g.dtype)
     for start in range(0, g.size, ADAM_CHUNK):
         chunk = slice(start, start + ADAM_CHUNK)
         gc, m, v, value = g[chunk], arena.adam_m[chunk], arena.adam_v[chunk], arena.values[chunk]
         a = scratch[:gc.size]
-        np.multiply(m, beta1, out=m)
+        np.multiply(m, ADAM_BETA1, out=m)
         np.add(m, gc, out=m)
-        np.multiply(v, beta2, out=v)
+        np.multiply(v, ADAM_BETA2, out=v)
         np.multiply(gc, gc, out=a)
         np.add(v, a, out=v)
         np.sqrt(v, out=a)
@@ -249,16 +249,19 @@ def adam_step(arena, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         np.subtract(value, a, out=value)
 
 
-def _adam_hyperparameters(lr, beta1, beta2, eps):
-    """The hyperparameters as Python floats, or ValueError naming a bad one."""
-    lr, beta1, beta2, eps = float(lr), float(beta1), float(beta2), float(eps)
-    for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"{name} must be in [0, 1), got {beta}")
-    for name, value in (("lr", lr), ("eps", eps)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    return lr, beta1, beta2, eps
+def check_fit_config(config):
+    """Reject a training config `fit` cannot run, naming the field:
+    `learning_rate` must be finite and > 0, `batch_size` >= 2 (training-mode
+    batch norm), and `patience` and `max_epochs` >= 1."""
+    lr = config.learning_rate
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {lr}")
+    if config.batch_size < 2:
+        raise ValueError(
+            f"batch_size must be >= 2 (training-mode batch norm), got {config.batch_size}")
+    for name in ("patience", "max_epochs"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
 
 
 def fit(model, n_rows, batch_loss, validate, rng, config):
@@ -269,17 +272,24 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
     and returns (loss, gradient wrt the model output); a trailing one-row
     batch is skipped, as training-mode batch norm needs two rows. `validate()`
     scores the epoch, higher is better. `config` supplies `learning_rate`,
-    `batch_size`, `patience` and `max_epochs`. The best-scoring weights are
-    restored at the end; a non-finite train loss or validation score raises
-    ValueError naming the epoch. The model's backward releases the layers'
-    training caches (see `Layer`), so none outlives its step.
+    `batch_size`, `patience` and `max_epochs`, which `check_fit_config`
+    checked when it was built. A non-finite train loss or validation score
+    raises ValueError naming the epoch. The model's backward releases the
+    layers' training caches (see `Layer`), so none outlives its step.
+
+    Early stopping follows Prechelt ("Early Stopping -- but when?", 1998): an
+    epoch whose score is strictly above every earlier one is the best so far,
+    and its weights are copied into the one snapshot buffer; a tie or a drop
+    is a stale epoch, and training stops after `patience` stale epochs in a
+    row (at the best epoch + `patience`) or after `max_epochs`. The best
+    epoch's weights are then restored.
 
     Returns (train_loss, val_score, wall_time, best_epoch), lists per epoch.
     """
     if n_rows < 2:
         raise ValueError(f"training needs at least 2 rows, got {n_rows}")
     arena = model.arena
-    stopper = EarlyStopState(patience=config.patience)
+    best_score, best_epoch, stale, best = -math.inf, -1, 0, None
     train_loss, val_score, wall_time = [], [], []
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -300,14 +310,17 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
         train_loss.append(loss)
         val_score.append(score)
         wall_time.append(time.perf_counter() - t0)
-        # each improvement overwrites the one snapshot buffer: a second
-        # arena-sized copy would raise the peak memory by the arena's size
-        if not stopper.update(score, epoch,
-                              lambda: snapshot_state(model, out=stopper.best_snapshot)):
-            break
-    if stopper.best_snapshot is not None:
-        load_state(model, stopper.best_snapshot)
-    return train_loss, val_score, wall_time, stopper.best_epoch
+        if score > best_score:
+            best_score, best_epoch, stale = score, epoch, 0
+            # each improvement overwrites the one snapshot buffer: a second
+            # arena-sized copy would raise the peak memory by the arena's size
+            best = snapshot_state(model, out=best)
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    load_state(model, best)
+    return train_loss, val_score, wall_time, best_epoch
 
 
 # ---------------------------------------------------------------------------

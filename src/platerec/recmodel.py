@@ -64,10 +64,7 @@ class RecConfig:
             raise ValueError(
                 f"n_reduce_blocks must be 1 or 2, got {self.n_reduce_blocks}"
             )
-        if self.batch_size < 2:
-            raise ValueError(
-                f"batch_size must be >= 2 (training-mode batch norm), got {self.batch_size}"
-            )
+        nn.check_fit_config(self)
 
 
 @dataclass
@@ -257,12 +254,14 @@ def grid_search(train: TriadBatch, val: TriadBatch, lr_candidates,
     """
     if not lr_candidates or not embed_candidates:
         raise ValueError("candidate lists must be nonempty")
+    # every candidate's config is built, and so checked, before the first trains
+    configs = [replace(config_base, learning_rate=lr, embed_dim=embed, patience=patience)
+               for lr, embed in itertools.product(lr_candidates, embed_candidates)]
     rows = []
-    for lr, embed in itertools.product(lr_candidates, embed_candidates):
-        cfg = replace(config_base, learning_rate=lr, embed_dim=embed, patience=patience)
+    for cfg in configs:
+        lr, embed = cfg.learning_rate, cfg.embed_dim
         model = build_recommender(cfg, nn.make_rng(cfg.seed, f"grid:{lr}:{embed}"))
         _, history = train_recommender(model, train, val, cfg)
-        best = max(history.val_b_score) if history.val_b_score else 0.0
-        rows.append({"lr": lr, "embed_dim": embed, "val_b_score": best})
+        rows.append({"lr": lr, "embed_dim": embed, "val_b_score": max(history.val_b_score)})
     best_row = sorted(rows, key=lambda r: (-r["val_b_score"], r["embed_dim"], -r["lr"]))[0]
     return rows, (best_row["lr"], best_row["embed_dim"])

@@ -16,6 +16,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_data import check_invariants, random_manifest  # noqa: E402
+from test_nn import scripted_fit  # noqa: E402
 
 from platerec import harness, nn  # noqa: E402
 from platerec.cae import CaeConfig, build_cae, encode_image, train_cae  # noqa: E402
@@ -23,7 +24,7 @@ from platerec.data import (  # noqa: E402
     SplitRow, SynthConfig, augment_minority, generate_synthetic,
     resize_image, three_way_split,
 )
-from platerec.metrics import EarlyStopState, b_score  # noqa: E402
+from platerec.metrics import b_score  # noqa: E402
 from platerec.recmodel import (  # noqa: E402
     RecConfig, TriadBatch, build_recommender, train_recommender,
 )
@@ -313,14 +314,10 @@ def test_early_stopping_contract():
         ([0.1, 0.2, 0.3, 0.3, 0.3, 0.3], 3, 3),  # rising then flat
     ]
     for scores, best_epoch, patience in sequences:
-        state = EarlyStopState(patience=patience)
-        stopped_at = None
-        for epoch, score in enumerate(scores, start=1):
-            if not state.update(score, epoch, lambda: score):
-                stopped_at = epoch
-                break
-        assert state.best_epoch == best_epoch, scores
-        assert stopped_at == best_epoch + patience, scores
+        (_, val_score, _, fit_best), restored, seen = scripted_fit(scores, patience)
+        assert fit_best == best_epoch, scores
+        assert len(val_score) == best_epoch + patience, scores
+        assert restored.tobytes() == seen[best_epoch - 1].tobytes(), scores
 
     # restoration: re-evaluating the returned model reproduces the best score
     cfg = RecConfig(n_users=6, n_restaurants=5, image_feature_dim=8,

@@ -492,7 +492,40 @@ class TestRandomProjection:
         assert harness.random_projection_features({}, 5, seed=0) == {}
 
 
+def _experiment_config(stage):
+    """An ExperimentConfig builder that takes `fit`'s fields for one stage
+    ("cae" or "rec") by the stage config's names."""
+    names = {"learning_rate": f"{stage}_lr", "patience": f"{stage}_patience",
+             "max_epochs": f"{stage}_max_epochs"}
+    return lambda **kw: harness.ExperimentConfig(
+        "data", "out", **{names[k]: v for k, v in kw.items()})
+
+
+# each config that `nn.check_fit_config` checks, built from `fit`'s field names
+FIT_CONFIGS = {
+    "CaeConfig": CaeConfig,
+    "RecConfig": lambda **kw: RecConfig(n_users=1, n_restaurants=1, image_feature_dim=1, **kw),
+    "ExperimentConfig-cae": _experiment_config("cae"),
+    "ExperimentConfig-rec": _experiment_config("rec"),
+}
+
+
 class TestConfigAndReport:
+
+    @pytest.mark.parametrize("build", FIT_CONFIGS.values(), ids=FIT_CONFIGS)
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -0.01), ("learning_rate", float("inf")),
+        ("learning_rate", float("nan")), ("patience", 0), ("max_epochs", 0)])
+    def test_fit_values_are_checked_when_the_config_is_built(self, build, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*, got {value}"):
+            build(**{field: value})
+
+    def test_cae_source_takes_only_the_code_length_as_feature_dim(self, tmp_path):
+        dirs = dict(data_dir=str(tmp_path), out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="image_feature_dim 12 differs from the "
+                                             "autoencoder's code length 48"):
+            harness.ExperimentConfig(**dirs, image_feature_dim=12)
+        assert harness.ExperimentConfig(**dirs, image_feature_dim=48).image_feature_dim == 48
 
     def test_unknown_feature_source(self, tmp_path):
         with pytest.raises(ValueError):
@@ -1014,8 +1047,15 @@ class TestCliFlags:
          "image_feature_dim must be positive, got 0"),
         (["run", "--feature-source", "random-projection", "--feature-dim", "-5"],
          "image_feature_dim must be positive, got -5"),
+        (["run", "--feature-dim", "48"],
+         "image_feature_dim 48 differs from the autoencoder's code length 12"),
+        (["run", "--lr", "-1"], "learning_rate must be finite and > 0, got -1.0"),
+        (["run", "--cae-lr", "nan"], "learning_rate must be finite and > 0, got nan"),
+        (["run", "--patience", "0"], "patience must be >= 1, got 0"),
+        (["run", "--cae-max-epochs", "0"], "max_epochs must be >= 1, got 0"),
     ], ids=["run-reduce-blocks", "run-cae-loss", "ablation-reduce-blocks",
-            "run-feature-dim-0", "run-feature-dim-negative"])
+            "run-feature-dim-0", "run-feature-dim-negative", "run-feature-dim-cae",
+            "run-lr-negative", "run-cae-lr-nan", "run-patience-0", "run-cae-max-epochs-0"])
     def test_stage_values_are_checked_before_any_stage_runs(self, cli_run, tmp_path,
                                                             capsys, argv, value):
         data, _ = cli_run

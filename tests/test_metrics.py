@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from platerec.metrics import (
-    ConfusionCounts, EarlyStopState, b_score, compute_metrics,
+    ConfusionCounts, b_score, compute_metrics,
     confusion_counts, format_report,
 )
 
@@ -90,52 +90,3 @@ class TestBScore:
         assert b <= (s + p) / 2 + 1e-12  # harmonic <= arithmetic
         assert b == pytest.approx(b_score(p, s))  # symmetry
 
-
-class TestEarlyStop:
-
-    def test_stop_after_patience_one(self):
-        state = EarlyStopState(patience=1)
-        assert state.update(0.5, 1, lambda: "w1") is True
-        assert state.update(0.6, 2, lambda: "w2") is True
-        assert state.update(0.6, 3, lambda: "w3") is False  # tie does not reset
-        assert state.best_epoch == 2
-        assert state.best_snapshot == "w2"
-
-    def test_rising_scores_never_stop(self):
-        state = EarlyStopState(patience=3)
-        for epoch in range(1, 100):
-            assert state.update(epoch / 100.0, epoch, lambda: epoch) is True
-
-    def test_constant_score_stops_at_patience_plus_one(self):
-        state = EarlyStopState(patience=12)
-        stopped_at = None
-        for epoch in range(1, 100):
-            if not state.update(0.7, epoch, lambda: epoch):
-                stopped_at = epoch
-                break
-        assert stopped_at == 13
-        assert state.best_epoch == 1
-
-    def test_snapshot_taken_once_per_strict_improvement(self):
-        state = EarlyStopState(patience=10)
-        taken = []
-        for epoch, score in enumerate([0.5, 0.5, 0.7, 0.6, 0.7, 0.8, 0.8], start=1):
-            state.update(score, epoch, lambda: taken.append(epoch) or epoch)
-        assert taken == [1, 3, 6]  # never on a tie or a drop
-        assert state.best_snapshot == 6
-
-    def test_invalid_patience(self):
-        with pytest.raises(ValueError):
-            EarlyStopState(patience=0)
-
-    @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=40),
-           st.integers(1, 10))
-    def test_snapshot_matches_maximum(self, scores, patience):
-        state = EarlyStopState(patience=patience)
-        seen = []
-        for epoch, score in enumerate(scores, start=1):
-            seen.append(score)
-            if not state.update(score, epoch, lambda: score):
-                break
-        assert state.best_score == max(seen)
-        assert state.best_snapshot == max(seen)

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -640,35 +641,6 @@ class TestAdam:
             nn.adam_step(arena, lr=0.05)
         assert abs(p.value[0]) < 0.01
 
-    @pytest.mark.parametrize("lr", [0.0, -0.01, float("inf"), float("nan")])
-    def test_invalid_lr(self, lr):
-        with pytest.raises(ValueError, match="lr"):
-            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=lr)
-
-    @pytest.mark.parametrize("beta1", [-0.1, 1.0, 1.5, float("nan")])
-    def test_invalid_beta1(self, beta1):
-        with pytest.raises(ValueError, match="beta1"):
-            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=0.01, beta1=beta1)
-
-    @pytest.mark.parametrize("beta2", [-0.1, 1.0, 1.5, float("nan")])
-    def test_invalid_beta2(self, beta2):
-        with pytest.raises(ValueError, match="beta2"):
-            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=0.01, beta2=beta2)
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("inf"), float("nan")])
-    def test_invalid_eps(self, eps):
-        with pytest.raises(ValueError, match="eps"):
-            nn.adam_step(nn.Arena([nn.Parameter(np.zeros(1))]), lr=0.01, eps=eps)
-
-    def test_invalid_arguments_leave_the_arena_untouched(self):
-        p = nn.Parameter(np.ones(3))
-        arena = nn.Arena([p])
-        p.grad[...] = 1.0
-        with pytest.raises(ValueError):
-            nn.adam_step(arena, lr=0.01, beta2=1.0)
-        assert arena.step_count == 0 and arena.adam_m is None
-        assert np.array_equal(p.value, np.ones(3))
-
     def test_grads_untouched(self):
         p = nn.Parameter(np.array([1.0]))
         arena = nn.Arena([p])
@@ -779,6 +751,88 @@ def _adam_folded_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p.adam_m[...] = beta1 * p.adam_m + p.grad
         p.adam_v[...] = beta2 * p.adam_v + p.grad * p.grad
         p.value -= (p.adam_m / (np.sqrt(p.adam_v) + eps_hat)) * step
+
+
+# ---------------------------------------------------------------------------
+# fit's early stopping
+# ---------------------------------------------------------------------------
+
+class _StubModel:
+    """What `nn.fit` uses of a model: an arena and a backward, here a no-op."""
+
+    def __init__(self):
+        self.weight = nn.Parameter(np.zeros(2, dtype=np.float32))
+        self.arena = nn.Arena([self.weight])
+
+    def backward(self, grad_out):
+        pass
+
+
+def scripted_fit(scores, patience):
+    """`nn.fit` on a stub model whose epoch k validates to scores[k - 1], for at
+    most len(scores) epochs. Each batch sets the gradient to 1, so every epoch's
+    Adam step moves the weights. Returns fit's result, the weights fit leaves
+    and the weights each epoch was scored on."""
+    model, seen = _StubModel(), []
+
+    def batch_loss(idx):
+        model.weight.grad[...] = 1.0
+        return 0.0, None
+
+    def validate():
+        seen.append(model.arena.values.copy())
+        return scores[len(seen) - 1]
+
+    config = SimpleNamespace(learning_rate=0.01, batch_size=2, patience=patience,
+                             max_epochs=len(scores))
+    result = nn.fit(model, 2, batch_loss, validate, nn.make_rng(0, "scripted-fit"), config)
+    return result, model.arena.values.copy(), seen
+
+
+class TestFitEarlyStopping:
+
+    @pytest.mark.parametrize("scores, patience, epochs", [
+        ([0.5, 0.6, 0.6, 0.9], 1, 3),
+        ([0.5, 0.4, 0.5, 0.9], 2, 3),
+    ])
+    def test_a_tie_does_not_reset_the_count(self, scores, patience, epochs):
+        (_, val_score, _, best_epoch), _, _ = scripted_fit(scores, patience)
+        assert len(val_score) == epochs
+        assert best_epoch == epochs - patience
+
+    def test_rising_scores_never_stop(self):
+        (_, val_score, _, best_epoch), _, _ = scripted_fit([k / 100 for k in range(1, 100)], 3)
+        assert len(val_score) == best_epoch == 99
+
+    def test_constant_score_stops_at_patience_plus_one(self):
+        (_, val_score, _, best_epoch), _, _ = scripted_fit([0.7] * 99, 12)
+        assert (len(val_score), best_epoch) == (13, 1)
+
+    def test_snapshot_taken_only_on_strict_improvement(self, monkeypatch):
+        taken, snapshot = [], nn.snapshot_state
+
+        def recording(model, out=None):
+            taken.append(model.arena.values.copy())
+            return snapshot(model, out=out)
+
+        monkeypatch.setattr(nn, "snapshot_state", recording)
+        _, _, seen = scripted_fit([0.5, 0.5, 0.7, 0.6, 0.7, 0.8, 0.8], 10)
+        # never on a tie or a drop
+        assert [v.tobytes() for v in taken] == [seen[k - 1].tobytes() for k in (1, 3, 6)]
+
+    def test_restores_the_best_epochs_values(self):
+        (_, val_score, _, best_epoch), restored, seen = scripted_fit([0.3, 0.9, 0.5, 0.4], 2)
+        assert (len(val_score), best_epoch) == (4, 2)
+        assert restored.tobytes() == seen[1].tobytes() != seen[-1].tobytes()
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=40), st.integers(1, 10))
+    def test_the_best_epoch_holds_the_maximum(self, scores, patience):
+        (_, val_score, _, best_epoch), restored, seen = scripted_fit(scores, patience)
+        assert val_score == scores[:len(val_score)]
+        assert best_epoch == val_score.index(max(val_score)) + 1
+        assert len(val_score) == min(len(scores), best_epoch + patience)
+        assert restored.tobytes() == seen[best_epoch - 1].tobytes()
 
 
 # ---------------------------------------------------------------------------

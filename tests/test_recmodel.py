@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import named_views
-from platerec import harness, nn
+from platerec import harness, nn, recmodel
 from platerec.recmodel import (
     RecConfig, TriadBatch, build_recommender, grid_search,
     predict, train_recommender,
@@ -699,6 +699,16 @@ class TestGridSearch:
         b = separable_batch(20, cfg, 5)
         with pytest.raises(ValueError):
             grid_search(b, b, [], [8], cfg)
+
+    @pytest.mark.parametrize("lrs, embeds", [([0.01, -1.0], [8]), ([0.01], [8, 6])])
+    def test_every_candidate_is_checked_before_the_first_trains(self, lrs, embeds,
+                                                                 monkeypatch):
+        cfg = self.cfg()
+        b = separable_batch(20, cfg, 5)
+        monkeypatch.setattr(recmodel, "train_recommender",
+                            lambda *args: pytest.fail("trained before every config was checked"))
+        with pytest.raises(ValueError, match="learning_rate|embed_dim"):
+            grid_search(b, b, lrs, embeds, cfg)
 
     def test_tie_breaks_to_smaller_embedding_then_larger_lr(self):
         from platerec.recmodel import grid_search as gs
