@@ -26,7 +26,7 @@ print(f"code length at 32x32: {config.code_length}")
 print(f"code length at 224x224: "
       f"{CaeConfig(input_height=224, input_width=224).code_length}")
 
-model, history = train_cae(build_cae(config), images[:16], images[16:], config)
+model, history = train_cae(build_cae(config), images[:16], images[16:])
 print(f"epoch 1 loss {history.train_loss[0]:.5f} -> "
       f"epoch {len(history.train_loss)} loss {history.train_loss[-1]:.5f}")
 

@@ -23,8 +23,8 @@ batch = TriadBatch(users=rng.integers(0, 6, size=240),
                    features=feats, labels=(feats[:, 0] > 0).astype(int))
 train, val = batch.take(np.arange(180)), batch.take(np.arange(180, 240))
 base = RecConfig(n_users=6, n_restaurants=5, image_feature_dim=8,
-                 embed_dim=8, batch_size=16, max_epochs=6, seed=0)
-rows, best = grid_search(train, val, [0.01, 0.001], [8, 16], base, patience=3)
+                 embed_dim=8, batch_size=16, max_epochs=6, patience=3, seed=0)
+rows, best = grid_search(train, val, [0.01, 0.001], [8, 16], base)
 for row in rows:
     print(f"lr={row['lr']:g} embed={row['embed_dim']:>3} "
           f"val b-score={row['val_b_score']:.4f}")

@@ -56,6 +56,8 @@ from . import nn
 # within a few MiB, near the last-level cache, instead of growing with the
 # caller's batch (830 MB for 64 images at 224x224).
 INFER_BLOCK_BYTES = 4 * 2 ** 20
+# Images per inference call of `evaluate_loss`, and by default of `encode_images`.
+EVAL_BATCH = 64
 
 
 def images_per_block(height, width, itemsize):
@@ -93,11 +95,11 @@ class CaeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_height % 8 or self.input_width % 8:
-            raise ValueError(
-                f"input dimensions must be divisible by 8 (three 2x poolings), "
-                f"got {self.input_height}x{self.input_width}"
-            )
+        for name in ("input_height", "input_width"):
+            size = getattr(self, name)
+            if size < 8 or size % 8:
+                raise ValueError(
+                    f"{name} must be a positive multiple of 8 (three 2x poolings), got {size}")
         if self.input_channels != 3:
             raise ValueError("only 3-channel inputs are supported")
         if self.loss_kind not in ("bce", "mse"):
@@ -234,13 +236,14 @@ def _as_batch(images, config):
     return np.ascontiguousarray(arr.transpose(0, 3, 1, 2))
 
 
-def train_cae(model: CaeModel, train_images, val_images, config: CaeConfig):
-    """Early-stopped reconstruction training with `nn.fit`; restores the best-epoch weights.
+def train_cae(model: CaeModel, train_images, val_images):
+    """Early-stopped reconstruction training by `model.config`; restores the best-epoch weights.
 
     Monitors validation reconstruction loss (inference mode); stops after
     `patience` epochs without improvement and at most max_epochs. A
     non-finite train or validation loss raises ValueError naming the epoch.
     """
+    config = model.config
     x_train = _as_batch(train_images, config)
     x_val = _as_batch(val_images, config) if len(val_images) else x_train
 
@@ -249,20 +252,21 @@ def train_cae(model: CaeModel, train_images, val_images, config: CaeConfig):
         return nn.loss_eval(model.forward(batch, mode=nn.TRAINING), batch, config.loss_kind)
 
     train_loss, val_score, wall_time, best_epoch = nn.fit(
-        model, x_train.shape[0], batch_loss, lambda: -evaluate_loss(model, x_val, config),
-        nn.make_rng(config.seed, "cae-train"), config)
+        model, x_train.shape[0], batch_loss, lambda: -evaluate_loss(model, x_val),
+        nn.make_rng(config.seed, "cae-train"))
     return model, TrainHistory(train_loss, [-s for s in val_score], wall_time, best_epoch)
 
 
-def evaluate_loss(model: CaeModel, x_nchw, config: CaeConfig, batch_size=64):
+def evaluate_loss(model: CaeModel, x_nchw):
+    """Mean reconstruction loss (by `model.config.loss_kind`), EVAL_BATCH images a call."""
     if not len(x_nchw):
         raise ValueError("cannot evaluate the reconstruction loss of an empty batch")
-    batches = [x_nchw[start:start + batch_size] for start in range(0, len(x_nchw), batch_size)]
-    losses = [nn.loss_eval(model.forward(batch), batch, config.loss_kind)[0] for batch in batches]
-    return float(np.average(losses, weights=[len(batch) for batch in batches]))
+    batches = [x_nchw[start:start + EVAL_BATCH] for start in range(0, len(x_nchw), EVAL_BATCH)]
+    losses = [nn.loss_eval(model.forward(b), b, model.config.loss_kind)[0] for b in batches]
+    return float(np.average(losses, weights=[len(b) for b in batches]))
 
 
-def encode_images(model: CaeModel, images, batch_size=64):
+def encode_images(model: CaeModel, images, batch_size=EVAL_BATCH):
     """Flattened bottleneck codes (inference mode), one row per image, encoded
     `batch_size` images at a time; no images give a (0, code_length) array.
 

@@ -139,8 +139,7 @@ def cmd_evaluate(args):
     model = harness.load_checkpoint(args.model)
     split = _load_split_dir(args.split)
     features = data_mod.load_feature_file(args.features)
-    report = harness.evaluate_partition(model, split, features, args.partition,
-                                        model.config.decision_threshold)
+    report = harness.evaluate_partition(model, split, features, args.partition)
     print(f"[{args.partition}] {report.counts.total} triads")
     print(format_report(report))
 
@@ -151,8 +150,7 @@ def cmd_grid_search(args):
     train, val = harness.classifier_batches(split, features)
     base = harness.classifier_config(split, features, embed_dim=args.embeds[0],
                                      **_config_flags(rec_mod.RecConfig, args))
-    rows, best = rec_mod.grid_search(train, val, args.lrs, args.embeds, base,
-                                     patience=base.patience)
+    rows, best = rec_mod.grid_search(train, val, args.lrs, args.embeds, base)
     for row in rows:
         print(f"lr={row['lr']:g} embed={row['embed_dim']} "
               f"val_b_score={row['val_b_score']:.4f}")

@@ -17,7 +17,7 @@ on disk as binary PPM (P6, maxval 255).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,24 +257,16 @@ def three_way_split(reviews, seed) -> SplitAssignment:
 def save_split(split: SplitAssignment, path):
     with open(path, "w", encoding="utf-8") as fh:
         for row in split.rows:
-            fh.write(json.dumps({
-                "image_path": row.image_path,
-                "user_id": row.user_id,
-                "restaurant_id": row.restaurant_id,
-                "label": row.label,
-                "origin": row.origin,
-                "partition": row.partition,
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
 
 
 def load_split(path) -> SplitAssignment:
     """Read a split file `save_split` wrote; a malformed line raises ValueError
     naming `path:line`."""
     rows = []
-    # the required keys, in SplitRow's field order
-    fields = ("image_path", "user_id", "restaurant_id", "label", "origin", "partition")
-    for lineno, obj in _jsonl_objects(path, "split", fields):
-        row = SplitRow(*(obj[name] for name in fields))
+    names = [f.name for f in fields(SplitRow)]
+    for lineno, obj in _jsonl_objects(path, "split", names):
+        row = SplitRow(*(obj[name] for name in names))
         for name in ("image_path", "user_id", "restaurant_id"):
             if not isinstance(getattr(row, name), str):
                 raise ValueError(f"{path}:{lineno}: {name} must be a string")

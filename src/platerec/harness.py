@@ -29,6 +29,17 @@ FEATURE_SOURCES = ("cae", "feature-file", "random-projection")
 
 KIND_OF_ORIGIN = {v: k for k, v in data_mod.ORIGIN_OF_KIND.items()}
 
+# stage -> {field of the stage's config: the ExperimentConfig field that sets it};
+# RecConfig's data sizes and n_reduce_blocks are set where the classifier is built
+STAGE_FIELDS = {
+    "cae": {"input_height": "image_size", "input_width": "image_size", "loss_kind": "cae_loss",
+            "learning_rate": "cae_lr", "batch_size": "cae_batch", "patience": "cae_patience",
+            "max_epochs": "cae_max_epochs", "seed": "seed"},
+    "rec": {"embed_dim": "embed_dim", "learning_rate": "rec_lr", "batch_size": "rec_batch",
+            "patience": "rec_patience", "max_epochs": "rec_max_epochs",
+            "decision_threshold": "threshold", "seed": "seed"},
+}
+
 
 # ---------------------------------------------------------------------------
 # Checkpoints
@@ -193,34 +204,44 @@ class ExperimentConfig:
         if self.image_feature_dim is not None and self.image_feature_dim < 1:
             raise ValueError(
                 f"image_feature_dim must be positive, got {self.image_feature_dim}")
+        if self.image_size < 1:
+            raise ValueError(f"image_size must be >= 1, got {self.image_size}")
         # each stage's dataclass checks its own values; building them here makes a
         # bad value fail before any stage runs. Random projection takes any image
         # size, and any valid data sizes check the classifier's other fields.
         if self.feature_source == "cae":
-            code_length = self.cae_config().code_length
+            code_length = _named_by_experiment(self.cae_config, "cae").code_length
             if self.image_feature_dim not in (None, code_length):
                 raise ValueError(
                     f"image_feature_dim {self.image_feature_dim} differs from the "
                     f"autoencoder's code length {code_length}")
-        rec_mod.RecConfig(n_users=1, n_restaurants=1, image_feature_dim=1,
-                          **self.rec_hyperparameters(self.n_reduce_blocks))
+        _named_by_experiment(lambda: rec_mod.RecConfig(
+            n_users=1, n_restaurants=1, image_feature_dim=1,
+            **self.rec_hyperparameters(self.n_reduce_blocks)), "rec")
+
+    def _stage_fields(self, stage):
+        return {name: getattr(self, ours) for name, ours in STAGE_FIELDS[stage].items()}
 
     def cae_config(self) -> cae_mod.CaeConfig:
         """The autoencoder stage's config."""
-        return cae_mod.CaeConfig(
-            input_height=self.image_size, input_width=self.image_size,
-            loss_kind=self.cae_loss, batch_size=self.cae_batch,
-            patience=self.cae_patience, max_epochs=self.cae_max_epochs,
-            learning_rate=self.cae_lr, seed=self.seed,
-        )
+        return cae_mod.CaeConfig(**self._stage_fields("cae"))
 
     def rec_hyperparameters(self, n_reduce_blocks):
         """The classifier stage's RecConfig fields, all but the three data-sized
         ones that `classifier_config` fills in."""
-        return dict(embed_dim=self.embed_dim, n_reduce_blocks=n_reduce_blocks,
-                    learning_rate=self.rec_lr, batch_size=self.rec_batch,
-                    patience=self.rec_patience, max_epochs=self.rec_max_epochs,
-                    decision_threshold=self.threshold, seed=self.seed)
+        return dict(self._stage_fields("rec"), n_reduce_blocks=n_reduce_blocks)
+
+
+def _named_by_experiment(build, stage):
+    """build(); a ValueError whose message opens with a field of `stage`'s config
+    is raised again opening with the ExperimentConfig field that sets it."""
+    try:
+        return build()
+    except ValueError as exc:
+        name, sep, rest = str(exc).partition(" ")
+        if name not in STAGE_FIELDS[stage]:
+            raise
+        raise ValueError(STAGE_FIELDS[stage][name] + sep + rest) from exc
 
 
 @dataclass
@@ -315,7 +336,7 @@ def fit_cae(split, images, config: cae_mod.CaeConfig, out_dir):
     on its validation images, and write out_dir/cae.ckpt."""
     train = [images[r.image_path] for r in split.rows_in("train") if r.origin == "original"]
     val = [images[r.image_path] for r in split.rows_in("validation")]
-    model, history = cae_mod.train_cae(cae_mod.build_cae(config), train, val, config)
+    model, history = cae_mod.train_cae(cae_mod.build_cae(config), train, val)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, Path(out_dir) / "cae.ckpt")
     return model, history
@@ -425,7 +446,7 @@ def classifier_batches(split, features):
 def train_classifier(split, features, config: rec_mod.RecConfig):
     """Build the classifier and train it on the split; returns (model, history)."""
     train, val = classifier_batches(split, features)
-    return rec_mod.train_recommender(rec_mod.build_recommender(config), train, val, config)
+    return rec_mod.train_recommender(rec_mod.build_recommender(config), train, val)
 
 
 def evaluate_batch(model, batch, threshold) -> MetricsReport:
@@ -433,15 +454,15 @@ def evaluate_batch(model, batch, threshold) -> MetricsReport:
     return compute_metrics(confusion_counts(probs, batch.labels, threshold), threshold)
 
 
-def evaluate_partition(model, split, features, partition, threshold) -> MetricsReport:
-    """Metrics of one partition, on its original rows only.
+def evaluate_partition(model, split, features, partition) -> MetricsReport:
+    """Metrics of one partition at the model's threshold, on its original rows only.
 
     Augmented rows are training inputs, not observations, so they are never
     scored; this is the one definition of the train metrics.
     """
     originals = [r for r in split.rows_in(partition) if r.origin == "original"]
     return evaluate_batch(model, triads_to_batch(replace(split, rows=originals), features),
-                          threshold)
+                          model.config.decision_threshold)
 
 
 def train_and_evaluate(prepared: PreparedData, config: ExperimentConfig, n_reduce_blocks):
@@ -450,7 +471,7 @@ def train_and_evaluate(prepared: PreparedData, config: ExperimentConfig, n_reduc
     rec_config = classifier_config(split, features,
                                    **config.rec_hyperparameters(n_reduce_blocks))
     model, history = train_classifier(split, features, rec_config)
-    reports = {p: evaluate_partition(model, split, features, p, config.threshold)
+    reports = {p: evaluate_partition(model, split, features, p)
                for p in data_mod.PARTITIONS if split.rows_in(p)}
     return model, history, reports
 
@@ -498,7 +519,7 @@ def run_ablation(config: ExperimentConfig, block_counts=(1, 2)):
     out_dir = Path(config.out_dir)
     variants = {str(n): _train_rec(prepared, config, n, out_dir / f"rec_{n}rb.ckpt")
                 for n in block_counts}
-    table = ablation_table(variants, partition="test")
+    table = ablation_table(variants)
     with open(out_dir / "ablation.json", "w", encoding="utf-8") as fh:
         json.dump({k: v.to_dict() for k, v in variants.items()}, fh, indent=2)
     with open(out_dir / "ablation.txt", "w", encoding="utf-8") as fh:
@@ -506,14 +527,14 @@ def run_ablation(config: ExperimentConfig, block_counts=(1, 2)):
     return {"variants": variants, "table": table}
 
 
-def ablation_table(variants: dict[str, RunReport], partition="test") -> str:
+def ablation_table(variants: dict[str, RunReport]) -> str:
     cols = sorted(variants)
     header = f"{'':12s}" + "".join(f"{c + 'RB':>10s}" for c in cols)
     lines = [header]
     for metric in METRIC_ROWS:
         cells = []
         for c in cols:
-            value = getattr(variants[c].metrics[partition], metric)
+            value = getattr(variants[c].metrics["test"], metric)
             cells.append(f"{'n/a':>10s}" if value is None else f"{value:>10.4f}")
         lines.append(f"{METRIC_LABELS[metric]:12s}" + "".join(cells))
     return "\n".join(lines)

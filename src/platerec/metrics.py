@@ -91,7 +91,7 @@ def b_score(sensitivity, specificity):
     return _harmonic(sensitivity, specificity)
 
 
-def compute_metrics(counts: ConfusionCounts, threshold=0.5) -> MetricsReport:
+def compute_metrics(counts: ConfusionCounts, threshold) -> MetricsReport:
     sens = _ratio(counts.tp, counts.tp + counts.fn)
     spec = _ratio(counts.tn, counts.tn + counts.fp)
     prec = _ratio(counts.tp, counts.tp + counts.fp)

@@ -264,14 +264,14 @@ def check_fit_config(config):
             raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
 
 
-def fit(model, n_rows, batch_loss, validate, rng, config):
+def fit(model, n_rows, batch_loss, validate, rng):
     """Mini-batch Adam training, early-stopped on a validation score.
 
     Each epoch permutes the `n_rows` training rows with `rng`. For each batch
     of their indices, `batch_loss(idx)` runs the training-mode forward pass
     and returns (loss, gradient wrt the model output); a trailing one-row
     batch is skipped, as training-mode batch norm needs two rows. `validate()`
-    scores the epoch, higher is better. `config` supplies `learning_rate`,
+    scores the epoch, higher is better. `model.config` supplies `learning_rate`,
     `batch_size`, `patience` and `max_epochs`, which `check_fit_config`
     checked when it was built. A non-finite train loss or validation score
     raises ValueError naming the epoch. The model's backward releases the
@@ -288,7 +288,7 @@ def fit(model, n_rows, batch_loss, validate, rng, config):
     """
     if n_rows < 2:
         raise ValueError(f"training needs at least 2 rows, got {n_rows}")
-    arena = model.arena
+    arena, config = model.arena, model.config
     best_score, best_epoch, stale, best = -math.inf, -1, 0, None
     train_loss, val_score, wall_time = [], [], []
     for epoch in range(1, config.max_epochs + 1):

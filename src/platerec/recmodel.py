@@ -27,6 +27,7 @@ Networks for YouTube Recommendations" (RecSys 2016).
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -64,6 +65,9 @@ class RecConfig:
             raise ValueError(
                 f"n_reduce_blocks must be 1 or 2, got {self.n_reduce_blocks}"
             )
+        if not (math.isfinite(self.decision_threshold) and 0 <= self.decision_threshold <= 1):
+            raise ValueError(
+                f"decision_threshold must be finite and in [0, 1], got {self.decision_threshold}")
         nn.check_fit_config(self)
 
 
@@ -110,7 +114,6 @@ class RecModel(nn.Model):
     def __init__(self, config: RecConfig, rng, dtype=nn.DTYPE):
         d = config.embed_dim
         self.config = config
-        self.dtype = dtype
         layers = [
             ("user_emb", nn.Embedding(config.n_users, d, rng, dtype)),
             ("rest_emb", nn.Embedding(config.n_restaurants, d, rng, dtype)),
@@ -144,7 +147,7 @@ class RecModel(nn.Model):
             raise ValueError("empty batch")
         if mode == nn.TRAINING and len(batch) < 2:
             raise ValueError("training mode needs batch size >= 2 for batch norm")
-        features = np.asarray(batch.features, dtype=self.dtype)
+        features = np.asarray(batch.features, dtype=self.arena.values.dtype)
         if mode == nn.INFERENCE:
             x = self._first_preactivation(batch, features)
             # the tail from block0.dropout on
@@ -198,8 +201,8 @@ def build_recommender(config: RecConfig, rng=None, dtype=nn.DTYPE) -> RecModel:
     return RecModel(config, rng, dtype)
 
 
-def _val_b_score(model, val: TriadBatch, threshold):
-    probs = model.forward(val, mode=nn.INFERENCE)
+def _val_b_score(model, val: TriadBatch):
+    probs, threshold = model.forward(val, mode=nn.INFERENCE), model.config.decision_threshold
     report = compute_metrics(confusion_counts(probs, val.labels, threshold), threshold)
     sens, spec = report.sensitivity, report.specificity
     if sens is None or spec is None:
@@ -209,25 +212,22 @@ def _val_b_score(model, val: TriadBatch, threshold):
     return report.b_score
 
 
-def train_recommender(model: RecModel, train: TriadBatch, val: TriadBatch,
-                      config: RecConfig):
-    """BCE training with `nn.fit`, monitoring the validation b_score each epoch.
+def train_recommender(model: RecModel, train: TriadBatch, val: TriadBatch):
+    """BCE training by `model.config` with `nn.fit`, monitoring the validation b_score each epoch.
 
     Early-stops after `patience` epochs without b_score improvement and
     restores the best-scoring weights. A non-finite train loss raises
     ValueError naming the epoch.
     """
-    drop_rng = nn.make_rng(config.seed, "rec-dropout")
+    drop_rng = nn.make_rng(model.config.seed, "rec-dropout")
 
     def batch_loss(idx):
         batch = train.take(idx)
         probs = model.forward(batch, mode=nn.TRAINING, rng=drop_rng)
         return nn.loss_eval(probs, batch.labels.astype(np.float32), "bce")
 
-    history = nn.fit(
-        model, len(train), batch_loss,
-        lambda: _val_b_score(model, val, config.decision_threshold),
-        nn.make_rng(config.seed, "rec-train"), config)
+    history = nn.fit(model, len(train), batch_loss, lambda: _val_b_score(model, val),
+                     nn.make_rng(model.config.seed, "rec-train"))
     return model, RecTrainHistory(*history)
 
 
@@ -245,8 +245,8 @@ def predict(model: RecModel, user, restaurant, image_feature, threshold=None):
 
 
 def grid_search(train: TriadBatch, val: TriadBatch, lr_candidates,
-                embed_candidates, config_base: RecConfig, patience=6):
-    """One training run per (lr, embed_dim) pair; best by validation b_score.
+                embed_candidates, config_base: RecConfig):
+    """One training run per (lr, embed_dim) pair on `config_base`; best by validation b_score.
 
     Ties break to the smaller embedding then the larger learning rate.
     Returns (rows, best) where each row is a dict with lr, embed_dim and the
@@ -255,13 +255,13 @@ def grid_search(train: TriadBatch, val: TriadBatch, lr_candidates,
     if not lr_candidates or not embed_candidates:
         raise ValueError("candidate lists must be nonempty")
     # every candidate's config is built, and so checked, before the first trains
-    configs = [replace(config_base, learning_rate=lr, embed_dim=embed, patience=patience)
+    configs = [replace(config_base, learning_rate=lr, embed_dim=embed)
                for lr, embed in itertools.product(lr_candidates, embed_candidates)]
     rows = []
     for cfg in configs:
         lr, embed = cfg.learning_rate, cfg.embed_dim
         model = build_recommender(cfg, nn.make_rng(cfg.seed, f"grid:{lr}:{embed}"))
-        _, history = train_recommender(model, train, val, cfg)
+        _, history = train_recommender(model, train, val)
         rows.append({"lr": lr, "embed_dim": embed, "val_b_score": max(history.val_b_score)})
     best_row = sorted(rows, key=lambda r: (-r["val_b_score"], r["embed_dim"], -r["lr"]))[0]
     return rows, (best_row["lr"], best_row["embed_dim"])

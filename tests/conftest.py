@@ -1,5 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
+
+ROOT = Path(__file__).resolve().parent.parent
 
 acceptance_verdicts = []
 
@@ -18,6 +24,22 @@ def named_views(model, flat):
     (a snapshot, say), read through the model's tensor directory."""
     return {name: flat[meta["offset"]:meta["offset"] + int(np.prod(meta["shape"]))]
             .reshape(meta["shape"]) for name, meta in model.directory.items()}
+
+
+def load_benchmark_module(name):
+    """benchmarks/<name>.py, read as a file: the benchmark directory is neither
+    a package nor changed by the tests, and no bytecode is written into it. The
+    module is registered under its name first, as its dataclasses look it up."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}",
+                                                  ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
 
 
 def pytest_terminal_summary(terminalreporter):

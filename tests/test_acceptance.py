@@ -179,7 +179,7 @@ def test_cae_overfit_oracle():
     images = [smooth_image(rng) for _ in range(16)]
     config = CaeConfig(loss_kind="mse", max_epochs=120, patience=120,
                        learning_rate=0.005, batch_size=16, seed=0)
-    _, history = train_cae(build_cae(config), images, images, config)
+    _, history = train_cae(build_cae(config), images, images)
     ratio = history.train_loss[-1] / history.train_loss[0]
     elapsed = time.perf_counter() - t0
     verdict("cae overfit oracle", ratio <= 0.10 and elapsed < 300.0,
@@ -329,9 +329,9 @@ def test_early_stopping_contract():
                        restaurants=rng.integers(0, 5, size=150),
                        features=feats, labels=(feats[:, 0] > 0).astype(int))
     train, val = batch.take(np.arange(110)), batch.take(np.arange(110, 150))
-    model, history = train_recommender(build_recommender(cfg), train, val, cfg)
+    model, history = train_recommender(build_recommender(cfg), train, val)
     from platerec.recmodel import _val_b_score
-    restored = _val_b_score(model, val, cfg.decision_threshold)
+    restored = _val_b_score(model, val)
     restore_ok = restored == pytest.approx(max(history.val_b_score))
     verdict("early stopping contract", restore_ok,
             f"halt at best_epoch + patience; restored weights re-evaluate to "

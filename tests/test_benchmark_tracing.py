@@ -3,28 +3,12 @@ program: every name it wraps still exists, training and encoding run under
 it, and it puts back every attribute it replaced. The recorder is read as a
 file and not changed."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 
+from conftest import ROOT, load_benchmark_module
 from platerec import cae, nn, recmodel
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing",
-                                                  ROOT / "benchmarks" / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
-    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = write_bytecode
-    return module
 
 
 def patchable(tracing):
@@ -48,7 +32,7 @@ def triads(cfg, n, seed):
 
 
 def test_recording_wraps_training_and_encoding_and_restores_everything():
-    tracing = load_tracing()
+    tracing = load_benchmark_module("tracing")
     before = patchable(tracing)
     recorder = tracing.SpanRecorder()
     with recorder.recording():
@@ -56,12 +40,12 @@ def test_recording_wraps_training_and_encoding_and_restores_everything():
         rec_cfg = recmodel.RecConfig(n_users=4, n_restaurants=3, image_feature_dim=6,
                                      embed_dim=8, batch_size=4, max_epochs=1, seed=1)
         recmodel.train_recommender(recmodel.build_recommender(rec_cfg),
-                                   triads(rec_cfg, 8, 1), triads(rec_cfg, 4, 2), rec_cfg)
+                                   triads(rec_cfg, 8, 1), triads(rec_cfg, 4, 2))
         cae_cfg = cae.CaeConfig(input_height=8, input_width=8, batch_size=4, max_epochs=1,
                                 seed=1)
         images = list(nn.make_rng(1, "traced-images").random((8, 8, 8, 3)).astype(np.float32))
         model = cae.build_cae(cae_cfg)
-        cae.train_cae(model, images[:6], images[6:], cae_cfg)
+        cae.train_cae(model, images[:6], images[6:])
         cae.encode_images(model, images)
     after = patchable(tracing)
     assert after.keys() == before.keys()

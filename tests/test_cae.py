@@ -42,6 +42,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             CaeConfig(input_height=30, input_width=30)
 
+    @pytest.mark.parametrize("height, width, bad", [
+        (0, 0, "input_height"), (0, 32, "input_height"), (32, 0, "input_width"),
+        (-8, 16, "input_height"), (16, -16, "input_width"), (4, 32, "input_height")])
+    def test_sizes_below_8_rejected(self, height, width, bad):
+        size = height if bad == "input_height" else width
+        with pytest.raises(ValueError, match=f"^{bad} must be a positive multiple of 8 "
+                                             rf"\(three 2x poolings\), got {size}$"):
+            CaeConfig(input_height=height, input_width=width)
+
     @pytest.mark.parametrize("batch_size", [1, 0])
     def test_batch_size_below_two_rejected(self, batch_size):
         with pytest.raises(ValueError, match="batch_size must be >= 2"):
@@ -98,12 +107,12 @@ class TestTraining:
     def test_empty_train_set(self):
         cfg = CaeConfig(max_epochs=1)
         with pytest.raises(ValueError):
-            train_cae(build_cae(cfg), [], [], cfg)
+            train_cae(build_cae(cfg), [], [])
 
     def test_one_image_train_set_rejected(self):
         cfg = CaeConfig(max_epochs=1)
         with pytest.raises(ValueError, match="at least 2 rows, got 1"):
-            train_cae(build_cae(cfg), smooth_images(1, 32, seed=1), [], cfg)
+            train_cae(build_cae(cfg), smooth_images(1, 32, seed=1), [])
 
     def test_nan_pixel_stops_training(self):
         cfg = CaeConfig(loss_kind="mse", max_epochs=3, patience=3, seed=4)
@@ -111,7 +120,7 @@ class TestTraining:
         images[1] = images[1].copy()
         images[1][5, 7, 2] = np.nan
         with pytest.raises(ValueError, match="epoch 1: non-finite train loss"):
-            train_cae(build_cae(cfg), images, smooth_images(2, 32, seed=5), cfg)
+            train_cae(build_cae(cfg), images, smooth_images(2, 32, seed=5))
 
     def test_nan_validation_pixel_stops_training(self):
         cfg = CaeConfig(loss_kind="mse", max_epochs=3, patience=3, seed=4)
@@ -119,13 +128,13 @@ class TestTraining:
         val[0] = val[0].copy()
         val[0][0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="epoch 1: non-finite validation loss"):
-            train_cae(build_cae(cfg), smooth_images(4, 32, seed=4), val, cfg)
+            train_cae(build_cae(cfg), smooth_images(4, 32, seed=4), val)
 
     def test_loss_decreases_and_history_is_consistent(self):
         cfg = CaeConfig(loss_kind="mse", max_epochs=15, patience=15,
                         learning_rate=0.01, seed=2)
         images = smooth_images(8, 32, seed=2)
-        model, history = train_cae(build_cae(cfg), images, images, cfg)
+        model, history = train_cae(build_cae(cfg), images, images)
         assert history.train_loss[-1] < history.train_loss[0]
         assert all(np.isfinite(v) for v in history.train_loss)
         assert history.best_epoch == int(np.argmin(history.val_loss)) + 1
@@ -135,15 +144,15 @@ class TestTraining:
                         learning_rate=0.01, seed=5)
         images = smooth_images(6, 32, seed=5)
         val = smooth_images(4, 32, seed=6)
-        model, history = train_cae(build_cae(cfg), images, val, cfg)
-        re_eval = evaluate_loss(model, _as_batch(val, cfg), cfg)
+        model, history = train_cae(build_cae(cfg), images, val)
+        re_eval = evaluate_loss(model, _as_batch(val, cfg))
         assert re_eval == pytest.approx(history.val_loss[history.best_epoch - 1], rel=1e-6)
 
     def test_same_seed_identical_curves(self):
         cfg = CaeConfig(loss_kind="mse", max_epochs=4, patience=4, seed=8)
         images = smooth_images(6, 32, seed=8)
-        _, h1 = train_cae(build_cae(cfg), images, images, cfg)
-        _, h2 = train_cae(build_cae(cfg), images, images, cfg)
+        _, h1 = train_cae(build_cae(cfg), images, images)
+        _, h2 = train_cae(build_cae(cfg), images, images)
         assert h1.train_loss == h2.train_loss
         assert h1.val_loss == h2.val_loss
 
@@ -153,7 +162,7 @@ class TestTraining:
         cfg = CaeConfig(loss_kind="mse", max_epochs=30, patience=4,
                         learning_rate=1e-12, seed=3)
         images = [np.full((32, 32, 3), 0.5, dtype=np.float32)] * 4
-        _, history = train_cae(build_cae(cfg), images, images, cfg)
+        _, history = train_cae(build_cae(cfg), images, images)
         assert len(history.val_loss) < cfg.max_epochs
         assert len(history.val_loss) == history.best_epoch + cfg.patience
 
@@ -170,7 +179,7 @@ class TestTraining:
             images = [0.2 + 0.6 * resize_image(rng.random((4, 4, 3)).astype(np.float32), 32, 32)
                       for _ in range(64)]
             cfg = CaeConfig(max_epochs=2, patience=2, seed=0)
-            model, _ = train_cae(build_cae(cfg), images, [], cfg)
+            model, _ = train_cae(build_cae(cfg), images, [])
             digest = hashlib.sha256()
             for name, meta in sorted(model.directory.items()):
                 start = meta["offset"]
@@ -218,7 +227,7 @@ class TestFirstConv:
                         patience=2, seed=6)
         rng = nn.make_rng(6, "cae-digest-images")
         images = [rng.random((8, 8, 3)).astype(np.float32) for _ in range(10)]
-        model, history = train_cae(build_cae(cfg), images[:8], images[8:], cfg)
+        model, history = train_cae(build_cae(cfg), images[:8], images[8:])
         assert len(history.train_loss) == 2
         assert hashlib.sha256(model.arena.values.tobytes()).hexdigest() == (
             "f7302ec4e7a678c5d28a0c0d9d89e742080665f299f1bb0a74c2491b6faf0f2e")
@@ -346,16 +355,16 @@ class TestFoldedInference:
     @pytest.mark.parametrize("kind", ["bce", "mse"])
     def test_evaluate_loss_matches_the_layer_by_layer_forward(self, size, kind):
         model, _, x = folded_setup(size, 67, seed=1)
-        cfg = CaeConfig(input_height=size, input_width=size, loss_kind=kind)
+        model.config.loss_kind = kind  # the loss evaluate_loss reads
         losses = [nn.loss_eval(layer_by_layer(model, x[s:s + 64])[1], x[s:s + 64], kind)[0]
                   for s in (0, 64)]
         want = np.average(losses, weights=[64, 3])
-        assert abs(evaluate_loss(model, x, cfg) - want) <= 1e-5 * abs(want)
+        assert abs(evaluate_loss(model, x) - want) <= 1e-5 * abs(want)
 
     def test_evaluate_loss_rejects_an_empty_batch(self):
         cfg = CaeConfig(input_height=8, input_width=8)
         with pytest.raises(ValueError, match="empty batch"):
-            evaluate_loss(build_cae(cfg), np.zeros((0, 3, 8, 8), np.float32), cfg)
+            evaluate_loss(build_cae(cfg), np.zeros((0, 3, 8, 8), np.float32))
 
     @pytest.mark.parametrize("size", [32, 8])
     def test_reconstruct_image_matches_the_layer_by_layer_forward(self, size):
@@ -500,12 +509,11 @@ class TestFoldCache:
 
         monkeypatch.setattr(CaeModel, "_build_fold", counting)
         model, images, x = folded_setup(8, 5, seed=5)
-        cfg = model.config
         first = model.forward(x)
         assert len(builds) == 1
         assert np.array_equal(model.forward(x), first)
         encode_images(model, images)
-        evaluate_loss(model, x, cfg)
+        evaluate_loss(model, x)
         reconstruct_image(model, images[0])
         assert len(builds) == 1
         self.adam_step_without_forward(model, 6)

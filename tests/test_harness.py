@@ -195,7 +195,7 @@ class TestCheckpoint:
         before = named_views(original, nn.snapshot_state(original))
         train, val = probe_batch(cfg, 1), probe_batch(cfg, 2)
         for model in (original, loaded):
-            train_recommender(model, train, val, cfg)
+            train_recommender(model, train, val)
         assert original.arena.step_count == loaded.arena.step_count > 0
         trained = named_views(original, original.arena.values)
         assert not np.array_equal(trained["expand_fc.weight"], before["expand_fc.weight"])
@@ -300,11 +300,11 @@ class TestTrainingCaches:
         images = [rng.random((8, 8, 3)).astype(np.float32) for _ in range(8)]
         cae_cfg = CaeConfig(input_height=8, input_width=8, batch_size=4, max_epochs=2,
                             patience=2, seed=2)
-        cae, _ = train_cae(build_cae(cae_cfg), images[:6], images[6:], cae_cfg)
+        cae, _ = train_cae(build_cae(cae_cfg), images[:6], images[6:])
         rec_cfg = RecConfig(n_users=4, n_restaurants=3, image_feature_dim=6, embed_dim=8,
                             batch_size=4, max_epochs=2, patience=2, seed=2)
         rec, _ = train_recommender(build_recommender(rec_cfg), probe_batch(rec_cfg, 1),
-                                   probe_batch(rec_cfg, 2), rec_cfg)
+                                   probe_batch(rec_cfg, 2))
         for model in (cae, rec):
             assert [name for name, layer in model.layers if layer._cache is not None] == []
 
@@ -432,6 +432,17 @@ class TestAugmentation:
 class TestCheckpointReader:
     """Every malformed checkpoint raises CheckpointError naming its path."""
 
+    @pytest.mark.parametrize("field", ["input_height", "input_width"])
+    def test_autoencoder_header_with_a_zero_size(self, tmp_path, field):
+        path = tmp_path / "cae.ckpt"
+        harness.save_checkpoint(build_cae(CaeConfig(input_height=8, input_width=8)), path)
+        header, payload = _read_checkpoint(path)
+        header["config"][field] = 0
+        _write_checkpoint(path, header, payload)
+        message = f"{path}: invalid config: {field} must be a positive multiple of 8"
+        with pytest.raises(harness.CheckpointError, match=re.escape(message)):
+            harness.load_checkpoint(path)
+
     @pytest.mark.parametrize("malform", MALFORMED_CHECKPOINTS.values(),
                              ids=MALFORMED_CHECKPOINTS.keys())
     def test_malformed_checkpoint_names_the_path(self, tmp_path, malform):
@@ -494,17 +505,20 @@ class TestRandomProjection:
 
 def _experiment_config(stage):
     """An ExperimentConfig builder that takes `fit`'s fields for one stage
-    ("cae" or "rec") by the stage config's names."""
-    names = {"learning_rate": f"{stage}_lr", "patience": f"{stage}_patience",
-             "max_epochs": f"{stage}_max_epochs"}
-    return lambda **kw: harness.ExperimentConfig(
-        "data", "out", **{names[k]: v for k, v in kw.items()})
+    ("cae" or "rec") by the stage config's names, and those names -> the
+    ExperimentConfig field an error names."""
+    names = {"learning_rate": f"{stage}_lr", "batch_size": f"{stage}_batch",
+             "patience": f"{stage}_patience", "max_epochs": f"{stage}_max_epochs"}
+    return (lambda **kw: harness.ExperimentConfig(
+        "data", "out", **{names[k]: v for k, v in kw.items()})), names
 
 
-# each config that `nn.check_fit_config` checks, built from `fit`'s field names
+# each config that `nn.check_fit_config` checks, built from `fit`'s field names,
+# with the names its errors give those fields where they differ
 FIT_CONFIGS = {
-    "CaeConfig": CaeConfig,
-    "RecConfig": lambda **kw: RecConfig(n_users=1, n_restaurants=1, image_feature_dim=1, **kw),
+    "CaeConfig": (CaeConfig, {}),
+    "RecConfig": (lambda **kw: RecConfig(n_users=1, n_restaurants=1, image_feature_dim=1, **kw),
+                  {}),
     "ExperimentConfig-cae": _experiment_config("cae"),
     "ExperimentConfig-rec": _experiment_config("rec"),
 }
@@ -515,10 +529,44 @@ class TestConfigAndReport:
     @pytest.mark.parametrize("build", FIT_CONFIGS.values(), ids=FIT_CONFIGS)
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", 0.0), ("learning_rate", -0.01), ("learning_rate", float("inf")),
-        ("learning_rate", float("nan")), ("patience", 0), ("max_epochs", 0)])
+        ("learning_rate", float("nan")), ("patience", 0), ("max_epochs", 0),
+        ("batch_size", 1)])
     def test_fit_values_are_checked_when_the_config_is_built(self, build, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be .*, got {value}"):
+        build, names = build
+        with pytest.raises(ValueError, match=f"^{names.get(field, field)} must be .*, got {value}$"):
             build(**{field: value})
+
+    @pytest.mark.parametrize("source", harness.FEATURE_SOURCES)
+    @pytest.mark.parametrize("size", [0, -3, -8])
+    def test_image_size_below_one_rejected_for_every_source(self, tmp_path, source, size):
+        with pytest.raises(ValueError, match=f"^image_size must be >= 1, got {size}$"):
+            harness.ExperimentConfig(str(tmp_path), str(tmp_path), image_size=size,
+                                     feature_source=source, feature_file="f.txt")
+
+    def test_cae_source_names_image_size_for_the_autoencoders_sizes(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^image_size must be a positive multiple of 8 "
+                                             r"\(three 2x poolings\), got 12$"):
+            harness.ExperimentConfig(str(tmp_path), str(tmp_path), image_size=12)
+        harness.ExperimentConfig(str(tmp_path), str(tmp_path), image_size=12,
+                                 feature_source="random-projection")
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.5, 2.0])
+    def test_threshold_outside_the_unit_interval_rejected(self, tmp_path, threshold):
+        with pytest.raises(ValueError, match=r"^threshold must be finite and in \[0, 1\], "
+                                             rf"got {threshold}$"):
+            harness.ExperimentConfig(str(tmp_path), str(tmp_path), threshold=threshold)
+
+    def test_stage_configs_take_each_value_from_its_field(self, tmp_path):
+        config = harness.ExperimentConfig(
+            str(tmp_path), str(tmp_path), image_size=16, seed=7, cae_loss="mse", cae_lr=0.02,
+            cae_batch=3, cae_patience=4, cae_max_epochs=5, embed_dim=12, rec_lr=0.03,
+            rec_batch=6, rec_patience=8, rec_max_epochs=9, threshold=0.25)
+        assert config.cae_config() == CaeConfig(
+            input_height=16, input_width=16, loss_kind="mse", learning_rate=0.02,
+            batch_size=3, patience=4, max_epochs=5, seed=7)
+        assert config.rec_hyperparameters(1) == dict(
+            embed_dim=12, n_reduce_blocks=1, learning_rate=0.03, batch_size=6, patience=8,
+            max_epochs=9, decision_threshold=0.25, seed=7)
 
     def test_cae_source_takes_only_the_code_length_as_feature_dim(self, tmp_path):
         dirs = dict(data_dir=str(tmp_path), out_dir=str(tmp_path))
@@ -902,8 +950,8 @@ class TestCliConfigs:
     @staticmethod
     def _grid_configs(call):
         """The config of every grid point, as `recmodel.grid_search` derives them."""
-        (_, _, lrs, embeds, base), kwargs = call
-        return [replace(base, learning_rate=lr, embed_dim=embed, patience=kwargs["patience"])
+        (_, _, lrs, embeds, base), _ = call
+        return [replace(base, learning_rate=lr, embed_dim=embed)
                 for lr, embed in itertools.product(lrs, embeds)]
 
     def test_grid_search(self, cli_run, monkeypatch):
@@ -1049,13 +1097,15 @@ class TestCliFlags:
          "image_feature_dim must be positive, got -5"),
         (["run", "--feature-dim", "48"],
          "image_feature_dim 48 differs from the autoencoder's code length 12"),
-        (["run", "--lr", "-1"], "learning_rate must be finite and > 0, got -1.0"),
-        (["run", "--cae-lr", "nan"], "learning_rate must be finite and > 0, got nan"),
-        (["run", "--patience", "0"], "patience must be >= 1, got 0"),
-        (["run", "--cae-max-epochs", "0"], "max_epochs must be >= 1, got 0"),
+        (["run", "--lr", "-1"], "rec_lr must be finite and > 0, got -1.0"),
+        (["run", "--cae-lr", "nan"], "cae_lr must be finite and > 0, got nan"),
+        (["run", "--patience", "0"], "rec_patience must be >= 1, got 0"),
+        (["run", "--cae-max-epochs", "0"], "cae_max_epochs must be >= 1, got 0"),
+        (["run", "--threshold", "nan"], "threshold must be finite and in [0, 1], got nan"),
     ], ids=["run-reduce-blocks", "run-cae-loss", "ablation-reduce-blocks",
             "run-feature-dim-0", "run-feature-dim-negative", "run-feature-dim-cae",
-            "run-lr-negative", "run-cae-lr-nan", "run-patience-0", "run-cae-max-epochs-0"])
+            "run-lr-negative", "run-cae-lr-nan", "run-patience-0", "run-cae-max-epochs-0",
+            "run-threshold-nan"])
     def test_stage_values_are_checked_before_any_stage_runs(self, cli_run, tmp_path,
                                                             capsys, argv, value):
         data, _ = cli_run

@@ -36,24 +36,24 @@ class TestConfusionCounts:
 class TestComputeMetrics:
 
     def test_hand_ratios(self):
-        r = compute_metrics(ConfusionCounts(tp=9, fn=1, tn=4, fp=6))
+        r = compute_metrics(ConfusionCounts(tp=9, fn=1, tn=4, fp=6), 0.5)
         assert r.sensitivity == pytest.approx(0.9)
         assert r.specificity == pytest.approx(0.4)
 
     def test_empty_counts_all_undefined(self):
-        r = compute_metrics(ConfusionCounts())
+        r = compute_metrics(ConfusionCounts(), 0.5)
         assert r.sensitivity is None and r.specificity is None
         assert r.precision is None and r.f1 is None and r.b_score is None
         assert "n/a" in format_report(r)
 
     def test_perfect_classifier(self):
-        r = compute_metrics(ConfusionCounts(tp=5, tn=5))
+        r = compute_metrics(ConfusionCounts(tp=5, tn=5), 0.5)
         for v in (r.sensitivity, r.specificity, r.precision, r.f1, r.b_score):
             assert v == pytest.approx(1.0)
 
     @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
     def test_never_divides_by_zero(self, tp, tn, fp, fn):
-        r = compute_metrics(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))
+        r = compute_metrics(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn), 0.5)
         for v in (r.sensitivity, r.specificity, r.precision, r.f1, r.b_score):
             assert v is None or 0.0 <= v <= 1.0
 

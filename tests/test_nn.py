@@ -758,11 +758,13 @@ def _adam_folded_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 # ---------------------------------------------------------------------------
 
 class _StubModel:
-    """What `nn.fit` uses of a model: an arena and a backward, here a no-op."""
+    """What `nn.fit` uses of a model: an arena, a backward, here a no-op, and the
+    config that supplies fit's hyperparameters."""
 
-    def __init__(self):
+    def __init__(self, config):
         self.weight = nn.Parameter(np.zeros(2, dtype=np.float32))
         self.arena = nn.Arena([self.weight])
+        self.config = config
 
     def backward(self, grad_out):
         pass
@@ -773,7 +775,8 @@ def scripted_fit(scores, patience):
     most len(scores) epochs. Each batch sets the gradient to 1, so every epoch's
     Adam step moves the weights. Returns fit's result, the weights fit leaves
     and the weights each epoch was scored on."""
-    model, seen = _StubModel(), []
+    model, seen = _StubModel(SimpleNamespace(learning_rate=0.01, batch_size=2,
+                                             patience=patience, max_epochs=len(scores))), []
 
     def batch_loss(idx):
         model.weight.grad[...] = 1.0
@@ -783,9 +786,7 @@ def scripted_fit(scores, patience):
         seen.append(model.arena.values.copy())
         return scores[len(seen) - 1]
 
-    config = SimpleNamespace(learning_rate=0.01, batch_size=2, patience=patience,
-                             max_epochs=len(scores))
-    result = nn.fit(model, 2, batch_loss, validate, nn.make_rng(0, "scripted-fit"), config)
+    result = nn.fit(model, 2, batch_loss, validate, nn.make_rng(0, "scripted-fit"))
     return result, model.arena.values.copy(), seen
 
 

@@ -62,6 +62,18 @@ class TestConfig:
             RecConfig(n_users=2, n_restaurants=2, image_feature_dim=4, embed_dim=8,
                       batch_size=batch_size)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"),
+                                           -0.01, 1.01])
+    def test_threshold_outside_the_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"^decision_threshold must be finite and in "
+                                             rf"\[0, 1\], got {threshold}$"):
+            RecConfig(n_users=2, n_restaurants=2, image_feature_dim=4,
+                      decision_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0, 0.0, 1.0])
+    def test_threshold_may_lie_on_either_end(self, threshold):
+        RecConfig(n_users=2, n_restaurants=2, image_feature_dim=4, decision_threshold=threshold)
+
 
 class TestArchitecture:
 
@@ -187,7 +199,7 @@ class TestTraining:
         train = separable_batch(200, cfg, 1)
         val = separable_batch(60, cfg, 2)
         model = build_recommender(cfg)
-        model, history = train_recommender(model, train, val, cfg)
+        model, history = train_recommender(model, train, val)
         assert max(history.val_b_score) > 0.9
         assert history.best_epoch == int(np.argmax(history.val_b_score)) + 1
 
@@ -195,8 +207,8 @@ class TestTraining:
         cfg = self.cfg(max_epochs=4, patience=4)
         train = separable_batch(80, cfg, 4)
         val = separable_batch(30, cfg, 5)
-        _, h1 = train_recommender(build_recommender(cfg), train, val, cfg)
-        _, h2 = train_recommender(build_recommender(cfg), train, val, cfg)
+        _, h1 = train_recommender(build_recommender(cfg), train, val)
+        _, h2 = train_recommender(build_recommender(cfg), train, val)
         assert h1.train_loss == h2.train_loss
         assert h1.val_b_score == h2.val_b_score
 
@@ -204,29 +216,29 @@ class TestTraining:
         cfg = self.cfg()
         empty = make_batch(4, cfg, 0).take(np.array([], dtype=int))
         with pytest.raises(ValueError):
-            train_recommender(build_recommender(cfg), empty, make_batch(4, cfg, 0), cfg)
+            train_recommender(build_recommender(cfg), empty, make_batch(4, cfg, 0))
 
     def test_nan_feature_row_stops_training(self):
         cfg = self.cfg(max_epochs=5, patience=5)
         train = separable_batch(60, cfg, 10)
         train.features[17] = np.nan
         with pytest.raises(ValueError, match="epoch 1: non-finite train loss"):
-            train_recommender(build_recommender(cfg), train, separable_batch(20, cfg, 11), cfg)
+            train_recommender(build_recommender(cfg), train, separable_batch(20, cfg, 11))
 
     def test_single_class_validation_warns(self):
         cfg = self.cfg(max_epochs=1, patience=1)
         train = separable_batch(40, cfg, 6)
         val = make_batch(10, cfg, 7, labels=np.ones(10, dtype=int))
         with pytest.warns(UserWarning):
-            train_recommender(build_recommender(cfg), train, val, cfg)
+            train_recommender(build_recommender(cfg), train, val)
 
     def test_restored_weights_reproduce_best_score(self):
         cfg = self.cfg(max_epochs=12, patience=3)
         train = separable_batch(120, cfg, 8)
         val = separable_batch(40, cfg, 9)
-        model, history = train_recommender(build_recommender(cfg), train, val, cfg)
+        model, history = train_recommender(build_recommender(cfg), train, val)
         from platerec.recmodel import _val_b_score
-        re_eval = _val_b_score(model, val, cfg.decision_threshold)
+        re_eval = _val_b_score(model, val)
         assert re_eval == pytest.approx(max(history.val_b_score))
 
 
@@ -362,7 +374,7 @@ class TestArena:
         monkeypatch.setattr(nn, "snapshot_state", recording)
         cfg = replace(self.cfg(), batch_size=16, max_epochs=8, patience=8, learning_rate=0.01)
         model, history = train_recommender(build_recommender(cfg), separable_batch(120, cfg, 8),
-                                           separable_batch(40, cfg, 9), cfg)
+                                           separable_batch(40, cfg, 9))
         assert len(taken) >= 2
         assert all(buffer is taken[0] for buffer in taken)
         assert history.val_b_score[history.best_epoch - 1] == max(history.val_b_score)
@@ -390,7 +402,8 @@ class TestArena:
 def layer_by_layer(model, batch):
     """The inference forward run one layer at a time, the form the factorized
     inference path must reproduce."""
-    inputs = (batch.users, batch.restaurants, np.asarray(batch.features, dtype=model.dtype))
+    features = np.asarray(batch.features, dtype=model.arena.values.dtype)
+    inputs = (batch.users, batch.restaurants, features)
     x = np.concatenate([branch.forward(inp) for branch, inp in zip(model.branches, inputs)],
                        axis=1)
     return model.tail.forward(x)[:, 0]
@@ -586,7 +599,7 @@ class TestFoldCache:
         cfg = self.cfg()
         model, batch, stale = self.warm(cfg)
         _, history = train_recommender(model, separable_batch(64, cfg, 3),
-                                       separable_batch(24, cfg, 4), cfg)
+                                       separable_batch(24, cfg, 4))
         # the best epoch is not the last, so fit's restore writes the weights
         # after the last validation forward built a fold
         assert history.best_epoch < len(history.val_b_score)
@@ -678,7 +691,7 @@ class TestGridSearch:
         cfg = self.cfg()
         train = separable_batch(60, cfg, 1)
         val = separable_batch(20, cfg, 2)
-        rows, best = grid_search(train, val, [0.01, 0.001], [8, 16], cfg, patience=3)
+        rows, best = grid_search(train, val, [0.01, 0.001], [8, 16], replace(cfg, patience=3))
         assert len(rows) == 4
         assert {(r["lr"], r["embed_dim"]) for r in rows} == \
             {(0.01, 8), (0.01, 16), (0.001, 8), (0.001, 16)}
@@ -691,7 +704,7 @@ class TestGridSearch:
         cfg = self.cfg()
         train = separable_batch(40, cfg, 3)
         val = separable_batch(16, cfg, 4)
-        rows, best = grid_search(train, val, [0.01], [8], cfg, patience=2)
+        rows, best = grid_search(train, val, [0.01], [8], replace(cfg, patience=2))
         assert len(rows) == 1 and best == (0.01, 8)
 
     def test_empty_candidates_rejected(self):
